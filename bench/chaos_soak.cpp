@@ -134,7 +134,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+      if (!tools::parse_engine_arg(argv[0], argv[i] + 9, &g_kind,
+                                   &g_workers)) {
+        return 2;
+      }
+    } else {
+      return tools::bad_flag(argv[0], argv[i],
+                             "[--json PATH] [--seed N] "
+                             "[--engine=serial|parallel[:N]]");
     }
   }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
@@ -196,6 +197,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return tools::bad_flag(argv[0], argv[i], "[--json PATH]");
     }
   }
   std::printf("Figure 12: performance overhead of Hydra (simulated "

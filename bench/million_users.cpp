@@ -294,7 +294,9 @@ int main(int argc, char** argv) {
         return usage(prog);
       }
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+      if (!tools::parse_engine_arg(prog, argv[i] + 9, &g_kind, &g_workers)) {
+        return usage(prog);
+      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {

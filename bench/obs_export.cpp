@@ -193,7 +193,10 @@ int main(int argc, char** argv) {
       }
       reps = static_cast<int>(r);
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+      if (!tools::parse_engine_arg(argv[0], argv[i] + 9, &g_kind,
+                                   &g_workers)) {
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       long w = 0;
       if (!tools::parse_long_arg(argv[0], "--workers", argv[i] + 10, 1, 1024,
@@ -201,6 +204,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       g_workers = static_cast<int>(w);
+    } else {
+      return tools::bad_flag(argv[0], argv[i],
+                             "[--json PATH] [--reps N] "
+                             "[--engine=serial|parallel[:N]] [--workers=N]");
     }
   }
   const int eff_workers = g_kind == net::EngineKind::kSerial ? 1 : g_workers;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "checkers/library.hpp"
+#include "cli_parse.hpp"
 #include "compiler/compile.hpp"
 
 int main(int argc, char** argv) {
@@ -17,6 +18,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return tools::bad_flag(argv[0], argv[i], "[--json PATH]");
     }
   }
   const auto baseline = compiler::fabric_upf_profile();

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "p4rt/table.hpp"
 #include "util/rng.hpp"
 
@@ -149,6 +150,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return tools::bad_flag(argv[0], argv[i], "[--json PATH]");
     }
   }
 

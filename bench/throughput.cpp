@@ -257,7 +257,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       g_obs = true;
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+      if (!tools::parse_engine_arg(argv[0], argv[i] + 9, &g_kind,
+                                   &g_workers)) {
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       long w = 0;
       if (!tools::parse_long_arg(argv[0], "--workers", argv[i] + 10, 1, 1024,
@@ -265,6 +268,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       g_workers = static_cast<int>(w);
+    } else {
+      return tools::bad_flag(argv[0], argv[i],
+                             "[--json PATH] [--obs] "
+                             "[--engine=serial|parallel[:N]] [--workers=N]");
     }
   }
   const int eff_workers =

@@ -87,15 +87,13 @@ Ipv4EcmpProgram::Decision Ipv4EcmpProgram::process(p4rt::Packet& pkt,
     d.reason = "unknown_switch";
     return d;
   }
-  // Thread-local: in flow-affinity windows several workers call process()
-  // for the same switch concurrently, so the lookup key and flatten
-  // scratch must not live in the (shared) table or program.
+  // Thread-local: one program instance serves every switch, and workers
+  // run different switches concurrently, so the key buffer must not live
+  // in the program. The route table itself is this switch's own, owned by
+  // one worker per window (net/switch_node.hpp).
   thread_local std::vector<BitVec> key;
-  thread_local p4rt::TableScratch scratch;
   key.assign(1, BitVec(32, pkt.ipv4->dst));
-  const p4rt::TableEntry* entry = concurrent_
-                                      ? it->second.routes.lookup_shared(key, scratch)
-                                      : it->second.routes.lookup(key);
+  const p4rt::TableEntry* entry = it->second.routes.lookup(key);
   if (entry == nullptr) {
     miss_drops_.fetch_add(1, std::memory_order_relaxed);
     d.drop = true;

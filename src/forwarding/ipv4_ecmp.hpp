@@ -36,12 +36,6 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
   void attach_metrics(obs::Registry* registry) override;
   void attach_metrics_sharded(MetricsResolver resolve) override;
 
-  // Flow-affinity safe: process() mutates only the packet (ttl) and the
-  // relaxed-atomic drop totals; route tables are read-only at runtime and
-  // probed via lookup_shared (thread-local scratch) while concurrent.
-  bool concurrent_safe() const override { return true; }
-  void set_concurrent(bool on) override { concurrent_ = on; }
-
   void invalidate_caches() override {
     for (auto& [id, sw] : switches_) sw.routes.invalidate_cache();
   }
@@ -66,7 +60,6 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
 
   std::map<int, PerSwitch> switches_;
   MetricsResolver resolver_;  // empty while observability is off
-  bool concurrent_ = false;   // flow-affinity windows active (see above)
   // Program-wide totals bumped from any shard; relaxed atomics keep them
   // deterministic (each switch contributes a schedule-independent count).
   std::atomic<std::uint64_t> ttl_drops_{0};

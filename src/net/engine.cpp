@@ -17,35 +17,6 @@ constexpr SimTime kInfTime = std::numeric_limits<SimTime>::infinity();
 // apart, so workers usually catch the next publish without a syscall.
 constexpr int kSpinIterations = 4096;
 
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-// Stable flow hash for flow-affinity sharding: FNV-1a over the packet's
-// (inner) 5-tuple, falling back to the switch id for unparseable packets.
-// Purely a locality/balance heuristic — in flow mode ANY assignment is
-// correct (compute is read-only on shared state) — but it must be
-// deterministic so profiling numbers are reproducible.
-std::uint64_t flow_shard_hash(const SwitchWork& work,
-                              const p4rt::Packet& pkt) {
-  const p4rt::FlowId f = p4rt::flow_of(pkt);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  if (f.parsed) {
-    h = fnv_mix(h, f.src_ip);
-    h = fnv_mix(h, f.dst_ip);
-    h = fnv_mix(h, f.src_port);
-    h = fnv_mix(h, f.dst_port);
-    h = fnv_mix(h, f.proto);
-  } else {
-    h = fnv_mix(h, static_cast<std::uint64_t>(work.sw));
-  }
-  return h;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -220,17 +191,6 @@ void ParallelEngine::plan_switch_groups() {
   }
 }
 
-void ParallelEngine::plan_flow_affinity() {
-  item_shard_.assign(window_.size(), kNoShard);
-  const auto w = static_cast<std::uint64_t>(workers_);
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    const auto& item = window_[i];
-    if (!item.is_switch_work()) continue;
-    item_shard_[i] = static_cast<std::uint32_t>(
-        flow_shard_hash(item.work, net_->packet(item.work.pkt)) % w);
-  }
-}
-
 void ParallelEngine::bucket_slices() {
   // Counting sort of window indices by shard: stable, so each slice keeps
   // (t, seq) order; one allocation-free pass in steady state.
@@ -248,12 +208,6 @@ void ParallelEngine::bucket_slices() {
     if (s == kNoShard) continue;
     slice_items_[slice_fill_[s]++] = static_cast<std::uint32_t>(i);
   }
-}
-
-void ParallelEngine::set_flow_tables(bool on) {
-  if (shared_tables_on_ == on) return;
-  net_->set_concurrent_tables(on);
-  shared_tables_on_ = on;
 }
 
 void ParallelEngine::run_window_serial(EventQueue& q) {
@@ -311,20 +265,15 @@ void ParallelEngine::commit_window(EventQueue& q) {
 void ParallelEngine::run_window(EventQueue& q) {
   const double e0 = prof_ != nullptr ? prof_->now_us() : 0.0;
   std::size_t switch_items = 0;
-  bool has_control = false;
   for (const auto& item : window_) {
-    if (!item.is_switch_work()) continue;
-    ++switch_items;
-    if (item.work.ctl != kNullHandle) has_control = true;
+    if (item.is_switch_work()) ++switch_items;
   }
   const std::size_t mult_used = mult_;
 
   // Mode selection. Closed control loop subscribed: a commit may mutate
   // state that later same-window compute reads, so fall back to serial
-  // per-event execution (see the degradation rule in the header). Flow
-  // mode needs the network's standing guarantees plus a control-free
-  // window; otherwise switch-group sharding keeps one switch on one
-  // worker.
+  // per-event execution (see the degradation rule in the header).
+  // Otherwise the window runs switch-grouped: one switch on one worker.
   const char* mode = "parallel";
   if (net_->has_report_callbacks() || net_->has_control_loop()) {
     mode = "callbacks";
@@ -332,13 +281,9 @@ void ParallelEngine::run_window(EventQueue& q) {
     mode = "one_worker";
   } else if (switch_items < kDispatchThreshold) {
     mode = "small_window";
-  } else if (!has_control && net_->flow_sharding_allowed()) {
-    mode = "flow";
   }
-  const bool serial_window = mode[0] != 'p' && mode[0] != 'f';
 
-  if (serial_window) {
-    set_flow_tables(false);
+  if (mode[0] != 'p') {
     run_window_serial(q);
     if (prof_ != nullptr) {
       prof_->epoch(e0, prof_->now_us(), window_.size(), switch_items, mode,
@@ -346,13 +291,8 @@ void ParallelEngine::run_window(EventQueue& q) {
     }
   } else {
     // PLAN: per-worker contiguous slices, built once at pop time.
-    if (mode[0] == 'f') {
-      plan_flow_affinity();
-    } else {
-      plan_switch_groups();
-    }
+    plan_switch_groups();
     bucket_slices();
-    set_flow_tables(mode[0] == 'f');
 
     // COMPUTE: publish the window, wake the pool, take slice 0 ourselves.
     results_.resize(window_.size());
@@ -443,7 +383,6 @@ void ParallelEngine::drain(EventQueue& q, SimTime limit) {
     }
     run_window(q);
   }
-  set_flow_tables(false);
   net_->absorb_shard_metrics();
 }
 

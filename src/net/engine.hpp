@@ -14,17 +14,14 @@
 //               end (below). No event executed inside the window can
 //               spawn switch work that lands in it.
 //   2. PLAN     assign every switch-work item to a worker slice, at pop
-//               time, in one pass:
-//                 * flow-affinity mode (the fast path; see below): shard
-//                   by a stable hash of the packet's flow id, so hops of
-//                   one flow stay on one worker while hops of one hot
-//                   switch spread across all of them;
-//                 * switch-group mode: greedy LPT bin-packing of the
-//                   window's switches onto workers (heaviest switch
-//                   first, least-loaded worker, deterministic
-//                   tie-breaks), so a switch is still owned by exactly
-//                   one worker per window but load balances far better
-//                   than a static sw % workers split.
+//               time, in one pass: greedy LPT bin-packing of the window's
+//               switches onto workers (heaviest switch first, least-loaded
+//               worker, deterministic tie-breaks). A switch is owned by
+//               exactly one worker per window, so its checker state,
+//               last-hit table caches and forensics ring see a single
+//               writer, in the same order as under the serial engine; it
+//               may move to another worker in the next window, and the
+//               epoch handshake orders the two.
 //               Each worker receives a contiguous, pre-bucketed slice of
 //               window indices in (t, seq) order — compute never scans or
 //               filters the window.
@@ -60,18 +57,8 @@
 // is disabled entirely while faults are armed — delayed rule pushes may
 // schedule control work closer than L ahead.
 //
-// Flow-affinity mode runs only when the configuration provably allows hops
-// of the SAME switch to execute concurrently (Network::
-// flow_sharding_allowed — observability off, faults disarmed, register-
-// free checkers, concurrent-safe forwarding programs) and the window
-// carries no control op. Table probes then route through the cache-
-// bypassing p4rt::Table::lookup_shared (Network::set_concurrent_tables).
-// Every other configuration uses switch-group mode, which preserves the
-// one-switch-one-worker-per-window rule (and thus exact per-table cache
-// behaviour and single-writer forensics rings).
-//
-// Reports, metrics snapshots, traces, and final register/table state are
-// bit-identical to the serial engine for any worker count in every mode.
+// Reports, metrics snapshots, traces, table counters and final register/
+// table state are bit-identical to the serial engine for any worker count.
 //
 // Degradation rule: while report callbacks are subscribed (closed control
 // loops that may mutate switch state mid-epoch), epochs are executed
@@ -151,13 +138,9 @@ class ParallelEngine final : public ExecutionEngine {
   void commit_window(EventQueue& q);
   // Shard planning (PLAN above): fill item_shard_ per window index...
   void plan_switch_groups();
-  void plan_flow_affinity();
   // ...then bucket the indices into per-worker contiguous slices
   // (counting sort — stable, so slices stay in (t, seq) order).
   void bucket_slices();
-  // Flips the network's table-lookup path when entering/leaving
-  // flow-affinity windows; idempotent via shared_tables_on_.
-  void set_flow_tables(bool on);
 
   const int workers_;
 
@@ -167,7 +150,6 @@ class ParallelEngine final : public ExecutionEngine {
   bool extension_allowed_ = false;
   // Adaptive lookahead multiplier (persists across drains; power of two).
   std::size_t mult_ = 1;
-  bool shared_tables_on_ = false;
 
   std::vector<EventQueue::Item> window_;
   std::vector<HopResult> results_;  // parallel to window_

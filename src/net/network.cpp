@@ -562,28 +562,6 @@ SimTime Network::min_spawn_delay() const {
   return d;
 }
 
-bool Network::flow_sharding_allowed() const {
-  if (obs_ != nullptr || faults_ != nullptr) return false;
-  for (const auto& d : deployments_) {
-    if (d.live && !d.checker->ir.registers.empty()) return false;
-  }
-  for (const auto& p : programs_) {
-    if (p != nullptr && !p->concurrent_safe()) return false;
-  }
-  return true;
-}
-
-void Network::set_concurrent_tables(bool on) {
-  for (auto& ctx : contexts_) {
-    for (auto& pd : ctx.deps) {
-      if (pd.interp) pd.interp->set_shared_tables(on);
-    }
-  }
-  for (const auto& p : programs_) {
-    if (p != nullptr) p->set_concurrent(on);
-  }
-}
-
 int Network::packet_wire_bytes(const p4rt::Packet& pkt) const {
   int bytes = pkt.base_wire_bytes();
   for (const auto& f : pkt.tele) {

@@ -35,8 +35,16 @@
 // observability handles, and the RNG stream — lives in an ExecContext, one
 // per engine worker, NEVER in the shared Deployment. A deployment-level
 // scratch buffer (as PR 1 had) is a latent shared-state hazard the moment
-// two switches process packets concurrently. A switch is statically
-// sharded to one context (shard_of), so per-switch state needs no locks.
+// two switches process packets concurrently.
+//
+// STATE-CONFINEMENT RULE: per-switch state (checker registers and tables,
+// their last-hit caches, forwarding tables, cold_until_, swap phases,
+// forensics rings) needs no locks because a switch runs on one thread at a
+// time. The parallel engine's plan gives each switch of an epoch window to
+// exactly one worker — its owning shard for that window — and the epoch
+// handshake orders that worker before the next window's owner. Serial
+// execution (and the parallel engine's serial windows) runs a switch on
+// its home context, shard_of(sw).
 #pragma once
 
 #include <functional>
@@ -123,8 +131,9 @@ struct HopResult {
 };
 
 // Per-worker execution context (see OWNERSHIP RULE above). The serial
-// engine has exactly one; the parallel engine one per worker, with switch
-// id statically mapped to a context by Network::shard_of.
+// engine has exactly one; the parallel engine one per worker. A parallel
+// window runs a switch on its owning worker's context; serial paths use
+// the switch's home context, Network::shard_of.
 struct ExecContext {
   struct PerDeployment {
     std::unique_ptr<p4rt::Interp> interp;
@@ -552,28 +561,6 @@ class Network {
   // lookahead). Feeds the parallel engine's adaptive window-extension
   // bound. +infinity for a linkless topology.
   SimTime min_spawn_delay() const;
-  // True when the parallel engine may shard the current configuration by
-  // FLOW instead of by switch — i.e. hops of the same switch may execute
-  // on different workers within a window. Requires:
-  //   * observability off — Table's last-hit cache must be bypassed
-  //     (lookup_shared), so `*.cache_hits` counters would diverge from
-  //     serial; with obs off nobody observes them (this also rules out
-  //     forensics/tracing/profiling, which imply observability);
-  //   * faults disarmed — cold_until_ stays read-only and telemetry is
-  //     never damaged mid-window;
-  //   * every deployed checker register-free — register state is
-  //     switch-confined but order-sensitive across hops of one switch;
-  //   * every installed forwarding program concurrent_safe().
-  // Report callbacks and in-window ControlOps are excluded per-window by
-  // the engine, not here. The answer only changes at configuration points
-  // (deploy / set_program / set_observability / arm_faults), all of which
-  // require an idle event queue.
-  bool flow_sharding_allowed() const;
-  // Flips every interpreter context and concurrent_safe() program between
-  // the cached single-threaded table-lookup path and the shared
-  // (cache-bypassing) path. The engine brackets flow-sharded drains with
-  // this; serial and switch-sharded execution keep the cached path.
-  void set_concurrent_tables(bool on);
   // Adds shard-local counter accumulators into the main registry (no-op
   // for the serial engine / while observability is off).
   void absorb_shard_metrics();

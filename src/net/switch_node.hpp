@@ -41,10 +41,12 @@ BitVec resolve_header(const p4rt::Packet& pkt, const HopContext& ctx,
 // remain independent from.
 //
 // STATE-CONFINEMENT RULE (parallel engine): the network's parallel engine
-// calls process() for *different switches* concurrently (one thread per
-// shard; a given switch always runs on the same thread). An implementation
-// must therefore keep its mutable state either (a) per switch — a
-// per-switch table map is the usual shape — or (b) thread-safe:
+// calls process() for *different switches* concurrently. Within one epoch
+// window a switch runs on exactly one worker; in a later window it may run
+// on another, ordered after the first by the epoch handshake. An
+// implementation must therefore keep its mutable state either (a) per
+// switch — a per-switch table map is the usual shape, and its last-hit
+// cache then sees the serial lookup order — or (b) thread-safe:
 // process-wide totals (drop counters, packet counts) must be std::atomic
 // with relaxed ordering, which keeps the totals deterministic because
 // every switch contributes a schedule-independent amount.
@@ -89,19 +91,10 @@ class ForwardingProgram {
     attach_metrics(resolve ? resolve(-1) : nullptr);
   }
 
-  // Flow-affinity opt-in. The parallel engine's flow-sharded windows run
-  // process() for the SAME switch on different threads concurrently (hops
-  // of different flows). A program may return true ONLY if process() is
-  // safe under that regime: per-switch lookup structures treated as
-  // read-only (route via p4rt::Table::lookup_shared, not lookup()),
-  // mutations confined to the packet itself or to relaxed atomics.
-  // Default false — the engine then falls back to switch-affinity
-  // sharding, which preserves the one-switch-one-thread rule above.
+  // No-ops that nothing in the simulator calls. They remain only because
+  // hydrabench/ledger.hpp's TimedProgram overrides them; delete them
+  // together with those overrides.
   virtual bool concurrent_safe() const { return false; }
-
-  // Toggled by the network when entering/leaving flow-affinity mode, so a
-  // concurrent_safe() program can switch its table probes between the
-  // cached single-threaded path and the shared path. No-op by default.
   virtual void set_concurrent(bool on) { (void)on; }
 
   // Drops any last-hit lookup caches the program keeps. Called by

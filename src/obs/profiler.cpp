@@ -59,7 +59,6 @@ void EngineProfiler::attach_main(Registry& reg) {
   epochs_ = reg.counter("engine.epochs");
   serial_windows_ = reg.counter("engine.epochs_serial_degraded");
   epochs_parallel_ = reg.counter("engine.epochs.parallel");
-  epochs_flow_ = reg.counter("engine.epochs.flow");
   epochs_callbacks_ = reg.counter("engine.epochs.callbacks");
   epochs_one_worker_ = reg.counter("engine.epochs.one_worker");
   epochs_small_window_ = reg.counter("engine.epochs.small_window");
@@ -83,7 +82,6 @@ void EngineProfiler::detach() {
   epochs_ = {};
   serial_windows_ = {};
   epochs_parallel_ = {};
-  epochs_flow_ = {};
   epochs_callbacks_ = {};
   epochs_one_worker_ = {};
   epochs_small_window_ = {};
@@ -119,15 +117,12 @@ void EngineProfiler::epoch(double t0_us, double t1_us, std::size_t items,
   epoch_items_.observe(static_cast<double>(items));
   epoch_switch_items_.observe(static_cast<double>(switch_items));
   lookahead_mult_.observe(static_cast<double>(lookahead_mult));
-  // "parallel" and "flow" are the concurrent modes; everything else is a
-  // serial degradation.
-  const bool concurrent =
-      mode != nullptr && (mode[0] == 'p' || mode[0] == 'f');
-  if (!concurrent) serial_windows_.inc();
+  // "parallel" is the concurrent mode; everything else is a serial
+  // degradation.
+  if (mode == nullptr || mode[0] != 'p') serial_windows_.inc();
   if (mode != nullptr) {
     switch (mode[0]) {
       case 'p': epochs_parallel_.inc(); break;
-      case 'f': epochs_flow_.inc(); break;
       case 'c': epochs_callbacks_.inc(); break;
       case 'o': epochs_one_worker_.inc(); break;
       case 's': epochs_small_window_.inc(); break;

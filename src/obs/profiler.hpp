@@ -57,9 +57,9 @@ class EngineProfiler {
 
   // ---- engine-facing recording hooks -------------------------------------
   void pop_window(double t0_us, double t1_us, std::size_t popped);
-  // One parallel epoch: item counts, execution mode ("parallel" for
-  // switch-group sharding, "flow" for flow-affinity sharding, or the
-  // serial-degradation reason: "callbacks", "small_window", "one_worker")
+  // One parallel epoch: item counts, execution mode ("parallel" for a
+  // switch-grouped concurrent window, or the serial-degradation reason:
+  // "callbacks", "small_window", "one_worker")
   // and the adaptive lookahead multiplier the window ran at (1 = base
   // lookahead). Each mode gets its own "engine.epochs.<mode>" counter and
   // the multiplier feeds the "engine.epoch.lookahead_mult" histogram.
@@ -112,7 +112,6 @@ class EngineProfiler {
   Counter serial_windows_;
   // Per-mode epoch counters ("engine.epochs.<mode>"); see epoch().
   Counter epochs_parallel_;
-  Counter epochs_flow_;
   Counter epochs_callbacks_;
   Counter epochs_one_worker_;
   Counter epochs_small_window_;

@@ -165,9 +165,7 @@ void Interp::exec(const ir::Instr& instr, std::vector<BitVec>& vals,
           key_scratch_.push_back(eval(*instr.keys[k], vals, hdr)
                                      .resize(spec.key_widths[k]));
         }
-        const TableEntry* entry =
-            shared_tables_ ? table.lookup_shared(key_scratch_, table_scratch_)
-                           : table.lookup(key_scratch_);
+        const TableEntry* entry = table.lookup(key_scratch_);
         if (entry != nullptr) {
           action_data = &entry->action_data;
           hit = true;

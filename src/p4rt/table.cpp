@@ -382,30 +382,28 @@ void Table::rebuild_index() {
   for (std::uint32_t i = 0; i < entries_.size(); ++i) index_entry(i);
 }
 
-void Table::flatten_into(const std::vector<BitVec>& key,
-                         std::vector<std::uint64_t>& raw_out,
-                         std::vector<std::uint64_t>& flat_out) const {
-  raw_out.clear();
-  flat_out.clear();
+void Table::flatten(const std::vector<BitVec>& key) const {
+  raw_scratch_.clear();
+  flat_scratch_.clear();
   for (std::size_t i = 0; i < key.size(); ++i) {
     const std::uint64_t raw = key[i].value();
-    raw_out.push_back(raw);
+    raw_scratch_.push_back(raw);
     switch (key_spec_[i].kind) {
       case MatchKind::kExact:
       case MatchKind::kRange:
-        flat_out.push_back(raw);
+        flat_scratch_.push_back(raw);
         break;
       case MatchKind::kTernary:
       case MatchKind::kLpm:
-        flat_out.push_back(raw & BitVec::mask(key_spec_[i].width));
+        flat_scratch_.push_back(raw & BitVec::mask(key_spec_[i].width));
         break;
     }
   }
 }
 
-std::int64_t Table::probe_index(const std::vector<BitVec>& key,
-                                const std::vector<std::uint64_t>& raw,
-                                std::vector<std::uint64_t>& flat) const {
+std::int64_t Table::probe_index(const std::vector<BitVec>& key) const {
+  const std::vector<std::uint64_t>& raw = raw_scratch_;
+  std::vector<std::uint64_t>& flat = flat_scratch_;
   std::int64_t best = -1;
   // Bucket key for the field-0 residue split, captured before the LPM
   // probe loop below mutates flat[lpm_field_] (which may be field 0).
@@ -471,7 +469,7 @@ const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
                                 std::to_string(key.size()) + ", expected " +
                                 std::to_string(key_spec_.size()));
   }
-  flatten_into(key, raw_scratch_, flat_scratch_);
+  flatten(key);
   if (cache_state_ == CacheState::kValid && raw_scratch_ == cache_key_) {
     metrics_.cache_hits.inc();
     if (cache_idx_ < 0) {
@@ -482,28 +480,11 @@ const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
     return &entries_[static_cast<std::size_t>(cache_idx_)];
   }
 
-  const std::int64_t best = probe_index(key, raw_scratch_, flat_scratch_);
+  const std::int64_t best = probe_index(key);
 
   cache_key_ = raw_scratch_;
   cache_idx_ = best;
   cache_state_ = CacheState::kValid;
-  if (best < 0) {
-    metrics_.misses.inc();
-    return nullptr;
-  }
-  metrics_.hits.inc();
-  return &entries_[static_cast<std::size_t>(best)];
-}
-
-const TableEntry* Table::lookup_shared(const std::vector<BitVec>& key,
-                                       TableScratch& scratch) const {
-  if (key.size() != key_spec_.size()) {
-    throw std::invalid_argument("table '" + name_ + "': lookup key arity " +
-                                std::to_string(key.size()) + ", expected " +
-                                std::to_string(key_spec_.size()));
-  }
-  flatten_into(key, scratch.raw, scratch.flat);
-  const std::int64_t best = probe_index(key, scratch.raw, scratch.flat);
   if (best < 0) {
     metrics_.misses.inc();
     return nullptr;

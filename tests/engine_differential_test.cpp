@@ -4,9 +4,11 @@
 // for any worker count, on randomized traffic over both reference fabrics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "aether/churn.hpp"
 #include "aether/controller.hpp"
@@ -19,6 +21,8 @@
 #include "net/network.hpp"
 #include "net/traffic.hpp"
 #include "obs/httpd.hpp"
+#include "obs/metrics.hpp"
+#include "p4rt/table.hpp"
 
 namespace hydra {
 namespace {
@@ -96,7 +100,7 @@ Snapshot snapshot(net::Network& net) {
   s.counters = dump_counters(net.counters());
   s.reports = dump_reports(net);
   // Metrics and forensics only exist while observability is on; obs-off
-  // scenarios (the flow-sharding fast path) still compare everything else.
+  // scenarios still compare everything else.
   if (net.observability_enabled()) {
     s.metrics = net.metrics_json();
     s.forensics = net.violation_reports_json();
@@ -210,24 +214,20 @@ TEST(EngineDifferential, FatTreeRandomTraffic) {
   });
 }
 
-// Flow-affinity fast path: observability and forensics OFF, register-free
-// checkers, concurrent-safe forwarding — Network::flow_sharding_allowed()
-// holds, so parallel windows shard by flow hash and hops of the SAME switch
-// execute concurrently through the cache-bypassing table probe. Runs must
-// still be bit-identical in everything observable without the metrics
-// layer: counters, reports, and final checker state.
-TEST(EngineDifferential, FlowShardingObsOffRandomTraffic) {
+// Observability and forensics OFF with register-free checkers: parallel
+// windows still run switch-grouped, and runs must be bit-identical in
+// everything observable without the metrics layer: counters, reports, and
+// final checker state.
+TEST(EngineDifferential, SwitchGroupsObsOffRandomTraffic) {
   run_differential([](net::EngineKind kind, int workers) {
     auto fabric = net::make_leaf_spine(4, 4, 2);
     net::Network net(fabric.topo);
     net.set_engine(kind, workers);
     auto routing = fwd::install_leaf_spine_routing(net, fabric);
-    // No set_observability / set_forensics: exactly the configuration the
-    // flow-affinity plan requires.
+    // No set_observability / set_forensics.
     const int vf = net.deploy(compile_library_checker("valley_free"));
     configure_valley_free(net, vf, fabric);
     net.deploy(compile_library_checker("loops"));
-    EXPECT_TRUE(net.flow_sharding_allowed());
 
     net::UdpFlood f1(net, fabric.hosts[0][0], fabric.hosts[3][1], 0.9, 700);
     f1.set_poisson(41);
@@ -245,6 +245,88 @@ TEST(EngineDifferential, FlowShardingObsOffRandomTraffic) {
   });
 }
 
+// Table lookup counters with observability OFF, attached the way
+// hydrabench's traced run attaches them: one hits/misses/cache_hits triple
+// per checker table per switch, plus the routing program's. Every engine
+// must count the same lookups and serve the same ones from each table's
+// last-hit cache.
+struct TableCounts {
+  std::string dump;  // name=value per counter, in registration order
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t cache_hits = 0;
+};
+
+TableCounts table_counts_obs_off(net::EngineKind kind, int workers) {
+  obs::Registry reg;  // outlives the network that holds its handles
+  auto fabric = net::make_leaf_spine(4, 4, 2);
+  net::Network net(fabric.topo);
+  net.set_engine(kind, workers);
+  auto routing = fwd::install_leaf_spine_routing(net, fabric);
+  const int vf = net.deploy(compile_library_checker("valley_free"));
+  configure_valley_free(net, vf, fabric);
+  net.deploy(compile_library_checker("loops"));
+
+  std::vector<std::string> bases;
+  for (int dep = 0; dep < net.deployment_count(); ++dep) {
+    for (int sw = 0; sw < net.topo().node_count(); ++sw) {
+      if (net.topo().node(sw).kind != net::NodeKind::kSwitch) continue;
+      for (const auto& t : net.checker(dep).ir.tables) {
+        const std::string base = "table." + std::to_string(dep) + "." +
+                                 std::to_string(sw) + "." + t.name;
+        p4rt::TableMetrics tm;
+        tm.hits = reg.counter(base + ".hits");
+        tm.misses = reg.counter(base + ".misses");
+        tm.cache_hits = reg.counter(base + ".cache_hits");
+        net.checker_table(dep, sw, t.name).attach_metrics(tm);
+        bases.push_back(base);
+      }
+    }
+  }
+  routing->attach_metrics(&reg);
+  bases.push_back("fwd.ipv4_ecmp.routes");
+
+  net::UdpFlood f1(net, fabric.hosts[0][0], fabric.hosts[3][1], 0.9, 700);
+  f1.set_poisson(41);
+  net::UdpFlood f2(net, fabric.hosts[1][0], fabric.hosts[2][1], 0.7, 450);
+  f2.set_poisson(57);
+  f1.start(0.0, 2e-3);
+  f2.start(0.0, 2e-3);
+  net.events().run();
+  EXPECT_FALSE(net.observability_enabled());
+
+  TableCounts c;
+  std::ostringstream os;
+  for (const auto& base : bases) {
+    const std::uint64_t h = reg.counter_value(base + ".hits");
+    const std::uint64_t m = reg.counter_value(base + ".misses");
+    const std::uint64_t ch = reg.counter_value(base + ".cache_hits");
+    os << base << " hits=" << h << " misses=" << m << " cache_hits=" << ch
+       << '\n';
+    c.hits += h;
+    c.misses += m;
+    c.cache_hits += ch;
+  }
+  c.dump = os.str();
+  routing->attach_metrics(nullptr);
+  return c;
+}
+
+TEST(EngineDifferential, TableCountersObsOffIdenticalAcrossEngines) {
+  const TableCounts base = table_counts_obs_off(net::EngineKind::kSerial, 0);
+  ASSERT_GT(base.hits, 0u);
+  ASSERT_GT(base.cache_hits, 0u);
+  for (const int workers : {1, 2, 8}) {
+    const TableCounts par =
+        table_counts_obs_off(net::EngineKind::kParallel, workers);
+    const std::string label = "parallel:" + std::to_string(workers);
+    EXPECT_EQ(par.hits, base.hits) << label;
+    EXPECT_EQ(par.misses, base.misses) << label;
+    EXPECT_EQ(par.cache_hits, base.cache_hits) << label;
+    EXPECT_EQ(par.dump, base.dump) << label;
+  }
+}
+
 // Every flow converges on one leaf: a single hot switch dominates every
 // window, stressing the LPT switch-group planner's balance and the
 // one-switch-one-worker rule that keeps per-table cache behaviour (and
@@ -257,7 +339,6 @@ TEST(EngineDifferential, HotSwitchSkewedLoadSwitchGroups) {
     auto routing = fwd::install_leaf_spine_routing(net, fabric);
     net.set_observability(true);
     net.set_forensics(true);
-    EXPECT_FALSE(net.flow_sharding_allowed());  // obs forces switch groups
 
     const int ud = net.deploy(compile_library_checker("up_down_routing"));
     configure_up_down(net, ud, fabric);
@@ -628,8 +709,7 @@ TEST(EngineProfiler, CoversEveryPhaseOnLoadedFabric) {
 
   const std::string metrics = net.metrics_json();
   for (const char* name :
-       {"engine.epochs.parallel", "engine.epochs.flow",
-        "engine.epochs.callbacks", "engine.epochs.one_worker",
+       {"engine.epochs.parallel", "engine.epochs.callbacks", "engine.epochs.one_worker",
         "engine.epochs.small_window", "engine.epoch.lookahead_mult"}) {
     EXPECT_NE(metrics.find(name), std::string::npos) << name;
   }

@@ -1,11 +1,11 @@
-// Strict numeric argv parsing shared by the CLI tools.
+// Strict argv parsing shared by the CLI tools and benches.
 //
 // atoi/atol silently turn garbage into 0 and saturate nothing; a typo like
 // `--workers 8x` or `--ring 1e9` must instead fail loudly with the flag
-// name and the accepted range — the same strictness parse_engine_kind
-// applies to `--engine parallel:N`. Each helper prints a one-line
-// diagnostic to stderr and returns false on bad input; callers follow up
-// with their usage text and exit 2.
+// name and the accepted range, and so must a malformed `--engine` spec.
+// Each helper prints a one-line diagnostic to stderr and returns false on
+// bad input; callers follow up with their usage text and exit 2, the
+// status of every command-line error.
 #pragma once
 
 #include <unistd.h>
@@ -14,9 +14,34 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "net/engine.hpp"
+
 namespace hydra::tools {
+
+// Engine spec ("serial" | "parallel[:N]"); the diagnostic is
+// net::parse_engine_kind's message. `workers` receives N (0 when absent).
+inline bool parse_engine_arg(const char* prog, const char* text,
+                             net::EngineKind* kind, int* workers) {
+  try {
+    *kind = net::parse_engine_kind(text, workers);
+    return true;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
+    return false;
+  }
+}
+
+// Reports an unknown flag or a flag missing its value, prints the usage
+// synopsis, and returns 2 for the caller to exit with.
+inline int bad_flag(const char* prog, const char* arg, const char* synopsis) {
+  std::fprintf(stderr, "%s: unknown flag or missing value: '%s'\n", prog,
+               arg);
+  std::fprintf(stderr, "usage: %s %s\n", prog, synopsis);
+  return 2;
+}
 
 // Base-10 integer in [lo, hi]; rejects empty input, trailing characters,
 // and out-of-range values.

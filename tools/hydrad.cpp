@@ -186,7 +186,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--forensics") == 0) {
       forensics = true;
     } else if (std::strncmp(a, "--engine=", 9) == 0) {
-      kind = net::parse_engine_kind(a + 9, &workers);
+      if (!tools::parse_engine_arg(argv[0], a + 9, &kind, &workers)) {
+        return usage(argv[0]);
+      }
     } else if (std::strncmp(a, "--workers=", 10) == 0) {
       long w = 0;
       if (!tools::parse_long_arg(argv[0], "--workers", a + 10, 1, 1024, &w)) {

@@ -208,7 +208,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--watch") == 0) {
       watch = true;
     } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = net::parse_engine_kind(argv[++i], &workers);
+      if (!tools::parse_engine_arg(argv[0], argv[++i], &engine, &workers)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       long w = 0;
       if (!tools::parse_long_arg(argv[0], "--workers", argv[++i], 0, 1024,
