@@ -24,6 +24,7 @@ CompiledChecker compile_checker(const std::string& source,
   diags.throw_if_errors("typecheck of checker '" + name + "'");
 
   out.ir = lower(program, symbols, name);
+  out.slots = ir::lower_to_slots(out.ir);
   const RelocationAnalysis relocation = analyze_relocation(out.ir);
   out.relocatable = relocation.relocatable;
   out.relocation_reason = relocation.reason;

@@ -3,8 +3,8 @@
 //   CompiledChecker c = compile_checker(source, "multi_tenancy");
 //
 // The result bundles everything the rest of the system consumes: the IR
-// (executed by simulated switches), the telemetry wire layout (used to size
-// packets), the generated P4 text (Table 1 LoC), and the resource report
+// and its slot program (executed by simulated switches), the telemetry wire
+// layout (used to size packets), the generated P4 text (Table 1 LoC), and the resource report
 // (Table 1 stages / PHV).
 #pragma once
 
@@ -15,6 +15,7 @@
 #include "compiler/resources.hpp"
 #include "indus/diagnostics.hpp"  // compile_checker throws indus::CompileError
 #include "ir/ir.hpp"
+#include "ir/slot_program.hpp"
 
 namespace hydra::compiler {
 
@@ -37,6 +38,7 @@ struct CompiledChecker {
   CompileOptions options;  // options.placement is resolved (never kAuto)
 
   ir::CheckerIR ir;
+  ir::SlotProgram slots;  // `ir` lowered for execution (ir/slot_program.hpp)
   TelemetryLayout layout;
   ResourceReport resources;
   LinkedResources linked;

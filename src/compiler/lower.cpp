@@ -552,8 +552,12 @@ class Lowerer {
       const Binding& b = binding(arg.name, arg);
       std::vector<RValuePtr> v;
       if (b.kind == Binding::Kind::kList) {
-        v.push_back(ir::rv_field(
-            ir_.lists[static_cast<std::size_t>(b.list)].count));
+        // length() is bit<32> (typecheck); the fill counter is narrower,
+        // so zero-extend it: `cnt | 32w0` has the joined width 32.
+        v.push_back(ir::rv_binary(
+            BinOp::kBitOr,
+            ir::rv_field(ir_.lists[static_cast<std::size_t>(b.list)].count),
+            ir::rv_const(BitVec(32, 0))));
       } else if (b.kind == Binding::Kind::kConfig) {
         v.push_back(ir::rv_const(BitVec(
             32, static_cast<std::uint64_t>(b.config_values))));
@@ -806,6 +810,7 @@ class Lowerer {
     // Gather the iterated containers.
     struct Iter {
       const ir::TeleList* list = nullptr;          // tele array
+      FieldId count;                               // its fill at loop entry
       const std::vector<FieldId>* config = nullptr;  // control array
     };
     std::vector<Iter> iters;
@@ -821,6 +826,13 @@ class Lowerer {
         it.list = &ir_.lists[static_cast<std::size_t>(b.list)];
         capacity = capacity < 0 ? it.list->capacity
                                 : std::min(capacity, it.list->capacity);
+        it.count = it.list->count;
+        // The loop runs over the elements present when it starts; a body
+        // that pushes onto the list must not extend its own iteration.
+        if (pushes_onto(*s.body[0], it_expr->name)) {
+          it.count = new_local(ir_.field(it.list->count).width);
+          out.push_back(ir::in_assign(it.count, ir::rv_field(it.list->count)));
+        }
       } else if (b.kind == Binding::Kind::kConfig && b.config_values > 1) {
         it.config = &config_fields(it_expr->name, b, out);
         capacity = capacity < 0 ? b.config_values
@@ -841,7 +853,7 @@ class Lowerer {
         auto cond = ir::rv_binary(
             BinOp::kLt,
             ir::rv_const(BitVec(32, static_cast<std::uint64_t>(i))),
-            ir::rv_field(it.list->count));
+            ir::rv_field(it.count));
         guard = guard ? ir::rv_binary(BinOp::kAnd, std::move(guard),
                                       std::move(cond))
                       : std::move(cond);
@@ -871,6 +883,21 @@ class Lowerer {
   // -------------------------------------------------------------------------
   // Helpers
   // -------------------------------------------------------------------------
+
+  // True when `s` (or any statement nested in it) pushes onto `list`.
+  static bool pushes_onto(const Stmt& s, const std::string& list) {
+    if (s.kind == StmtKind::kPush && s.push_list->kind == ExprKind::kVar &&
+        s.push_list->name == list) {
+      return true;
+    }
+    for (const auto& b : s.body) {
+      if (b && pushes_onto(*b, list)) return true;
+    }
+    for (const auto& arm : s.arms) {
+      if (arm.body && pushes_onto(*arm.body, list)) return true;
+    }
+    return s.else_body && pushes_onto(*s.else_body, list);
+  }
 
   const Binding* find_binding(const std::string& name) const {
     const auto it = bindings_.find(name);

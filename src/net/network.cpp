@@ -25,6 +25,37 @@ obs::TopKFlow to_topk_flow(const p4rt::FlowId& f) {
   return t;
 }
 
+// Binds every header annotation `c` declares. Throws std::invalid_argument
+// naming the checker and the annotation for one the data plane lacks.
+std::vector<HeaderField> bind_checker_headers(
+    const compiler::CompiledChecker& c) {
+  std::vector<HeaderField> out;
+  for (const std::string& ann : c.slots.headers) {
+    const std::optional<HeaderField> f = bind_header(ann);
+    if (!f) {
+      throw std::invalid_argument("deploy: checker '" + c.name +
+                                  "' declares header annotation '" + ann +
+                                  "', which the data plane does not provide");
+    }
+    out.push_back(*f);
+  }
+  return out;
+}
+
+// Appends `i` to `list` unless present.
+void add_unique(std::vector<std::uint32_t>& list, std::uint32_t i) {
+  if (std::find(list.begin(), list.end(), i) == list.end()) list.push_back(i);
+}
+
+void fill_headers(const std::vector<HeaderField>& fields,
+                  const std::vector<std::uint32_t>& which,
+                  const p4rt::Packet& pkt, const HopContext& hctx,
+                  std::vector<std::uint64_t>& out) {
+  for (const std::uint32_t i : which) {
+    out[i] = read_header(fields[i], pkt, hctx);
+  }
+}
+
 }  // namespace
 
 Network::Network(Topology topo) : topo_(std::move(topo)) {
@@ -121,6 +152,9 @@ int Network::stage_deployment(
     std::shared_ptr<const compiler::CompiledChecker> checker,
     std::uint8_t phase) {
   if (!checker) throw std::invalid_argument("deploy: null checker");
+  // Before any slot, generation or counter is taken: an unknown annotation
+  // fails here, not on the first hop that reads it.
+  std::vector<HeaderField> headers = bind_checker_headers(*checker);
   // Prefer reusing a retired slot; the deployment-id space is bounded by
   // the 64-bit rejected_deps mask, and reuse is what keeps a long-running
   // daemon deploying forever.
@@ -143,6 +177,7 @@ int Network::stage_deployment(
   Deployment& d = deployments_[static_cast<std::size_t>(slot)];
   const bool reused = d.checker != nullptr;
   d.checker = checker;
+  d.headers = std::move(headers);
   d.tele_wire_bytes = checker->layout.wire_bytes;
   d.generation = static_cast<std::uint32_t>(generations_.size());
   d.live = true;
@@ -158,7 +193,8 @@ int Network::stage_deployment(
       d.phase[static_cast<std::size_t>(i)] = phase;
     }
   }
-  generations_.push_back({checker, checker->name, false});
+  generations_.push_back(
+      {checker, checker->name, false, checker->layout.wire_bytes});
   stale_counters_.emplace_back();
   note_property(checker->name);
   if (reused) {
@@ -166,6 +202,7 @@ int Network::stage_deployment(
   } else {
     for (auto& ctx : contexts_) add_context_scratch(ctx, d);
   }
+  rebind_headers();
   if (obs_ != nullptr) {
     // Rewiring recreates shard shadow registries; fold any unabsorbed
     // shard counts into the main registry first so a rolling deploy that
@@ -569,8 +606,8 @@ int Network::packet_wire_bytes(const p4rt::Packet& pkt) const {
     // Size by the generation the frame was stamped with: a straggler of a
     // relinked slot still occupies the OLD layout's bytes on the wire.
     if (f.generation < generations_.size() &&
-        generations_[f.generation].checker != nullptr) {
-      bytes += generations_[f.generation].checker->layout.wire_bytes;
+        generations_[f.generation].wire_bytes >= 0) {
+      bytes += generations_[f.generation].wire_bytes;
     } else if (f.checker < static_cast<int>(deployments_.size())) {
       bytes += deployments_[static_cast<std::size_t>(f.checker)]
                    .tele_wire_bytes;
@@ -714,9 +751,10 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   res.rejected = false;
   res.rejected_deps = 0;
   res.stale_generations.clear();
+  // Only a traced hop writes res.hop, so only its successor must clear it.
+  if (res.traced) res.hop = obs::TraceHop{};
   res.traced = false;
   res.reports.clear();
-  res.hop = obs::TraceHop{};
   res.control = false;
   res.restarted = false;
   res.rule_pushed = false;
@@ -762,10 +800,6 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
     hop->wire_bytes = hctx.wire_bytes;
   }
 
-  auto resolver = [&pkt, &hctx](const std::string& ann, int width) {
-    return resolve_header(pkt, hctx, ann, width);
-  };
-
   auto collect_reports = [&](std::size_t di, const Deployment& d,
                              p4rt::ExecOutcome& out) {
     for (auto& r : out.reports) {
@@ -778,8 +812,8 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   };
 
   // Flight recorder armed? Provenance buffers are cleared here (and
-  // accumulated across the init+tele+check runs of one hop); the interp's
-  // provenance pointer itself is wired by rewire_observability.
+  // accumulated across the init+tele+check runs of one hop); the
+  // executor's provenance pointer itself is wired by rewire_observability.
   const bool forensic = obs_ != nullptr && obs_->recorder != nullptr;
 
   // Cold sensors: a fault-injected restart wiped this switch's registers
@@ -792,26 +826,27 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   // 1. Hydra init at the first hop: create and fill telemetry frames.
   // Only switches whose swap phase is fully enabled stamp frames — the
   // per-switch gate a rolling deploy sweeps through the control channel.
+  // Init blocks read the headers as the packet arrived.
   if (hctx.first_hop) {
+    fill_headers(header_fields_, init_headers_, pkt, hctx, ctx.hdr);
     for (std::size_t di = 0; di < deployments_.size(); ++di) {
       Deployment& d = deployments_[di];
       if (d.phase[static_cast<std::size_t>(sw)] != kPhaseEnabled) continue;
       ExecContext::PerDeployment& pd = ctx.deps[di];
       pd.init_runs.inc();
       if (forensic) pd.prov.clear();
-      pd.interp->reset_store(pd.vals);
-      std::vector<BitVec>& vals = pd.vals;
+      pd.exec->reset(pd.slots);
       p4rt::ExecOutcome& out = pd.out;
       out.reject = false;
       out.reports.clear();
-      pd.interp->run(d.checker->ir.init_block, vals,
-                     d.per_switch[static_cast<std::size_t>(sw)], resolver,
-                     out);
+      pd.exec->run(d.checker->slots.init, pd.slots,
+                   d.per_switch[static_cast<std::size_t>(sw)],
+                   ctx.hdr.data(), d.header_index.data(), out);
       // Re-arm a retired tele slot in place (deployment order matches the
       // old push_back order; all slots retire together at the last hop).
       p4rt::TeleFrame& frame = pkt.add_frame(static_cast<int>(di));
       frame.generation = d.generation;
-      pd.interp->store_frame(vals, frame);
+      pd.exec->store_frame(pd.slots, frame);
       if (cold_sw) frame.cold = true;
       if (hop != nullptr) {
         hop->checkers.push_back(
@@ -840,6 +875,8 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       decision.drop ||
       (decision.eg_port >= 0 && topo_.host_facing({sw, decision.eg_port}));
   hctx.wire_bytes = packet_wire_bytes(pkt);
+  // Telemetry and check blocks read the headers as the packet leaves.
+  fill_headers(header_fields_, run_headers_, pkt, hctx, ctx.hdr);
 
   // 3./4. Telemetry at every hop; checker at the last hop (or every hop,
   // for checkers compiled with per-hop placement).
@@ -922,20 +959,25 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
     // At the first hop the provenance buffer still holds the init run's
     // captures; this hop's record covers init+tele+check together.
     if (forensic && !hctx.first_hop) pd.prov.clear();
-    pd.interp->reset_store(pd.vals);
-    std::vector<BitVec>& vals = pd.vals;
-    pd.interp->load_frame(*frame, vals);
+    const ir::SlotProgram& prog = d.checker->slots;
+    const bool run_check =
+        hctx.last_hop ||
+        d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
+    // Blocks without ops (a `{ }` telemetry block off the checking hop)
+    // leave the frame as it is: it is neither loaded nor stored.
+    const bool any_ops = !prog.tele_block.ops.empty() ||
+                         (run_check && !prog.check.ops.empty());
+    if (any_ops) pd.exec->load_frame(*frame, pd.slots);
     p4rt::ExecOutcome& out = pd.out;
     out.reject = false;
     out.reports.clear();
     auto& state = d.per_switch[static_cast<std::size_t>(sw)];
-    pd.interp->run(d.checker->ir.tele_block, vals, state, resolver, out);
-    const bool run_check =
-        hctx.last_hop ||
-        d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
+    pd.exec->run(prog.tele_block, pd.slots, state, ctx.hdr.data(),
+                 d.header_index.data(), out);
     if (run_check) {
       pd.check_runs.inc();
-      pd.interp->run(d.checker->ir.check_block, vals, state, resolver, out);
+      pd.exec->run(prog.check, pd.slots, state, ctx.hdr.data(),
+                   d.header_index.data(), out);
     }
     // Cold suppression: a verdict derived from freshly-wiped sensor state
     // is noise, not a violation — drop it, count it, annotate it.
@@ -947,7 +989,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       pd.cold_suppr.inc();
       fault_note = "cold_suppressed";
     }
-    pd.interp->store_frame(vals, *frame);
+    if (any_ops) pd.exec->store_frame(pd.slots, *frame);
     if (hop != nullptr) {
       hop->checkers.push_back(
           trace_checker_record(d, frame, &trace_before, out,
@@ -1116,12 +1158,14 @@ void Network::rebuild_contexts() {
       add_context_scratch(contexts_[i], d);
     }
   }
+  rebind_headers();
   rewire_observability();
 }
 
 void Network::add_context_scratch(ExecContext& ctx, const Deployment& d) {
   ExecContext::PerDeployment pd;
-  pd.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
+  pd.exec = std::make_unique<p4rt::SlotExec>(d.checker->slots);
+  pd.slots = pd.exec->fresh_slots();
   ctx.deps.push_back(std::move(pd));
 }
 
@@ -1129,12 +1173,39 @@ void Network::reset_context_scratch(std::size_t slot) {
   const Deployment& d = deployments_[slot];
   for (auto& ctx : contexts_) {
     ExecContext::PerDeployment& pd = ctx.deps[slot];
-    pd.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
-    pd.vals.clear();
+    pd.exec = std::make_unique<p4rt::SlotExec>(d.checker->slots);
+    pd.slots = pd.exec->fresh_slots();
     pd.out.reject = false;
     pd.out.reports.clear();
     pd.prov.clear();
   }
+}
+
+void Network::rebind_headers() {
+  header_fields_.clear();
+  init_headers_.clear();
+  run_headers_.clear();
+  for (Deployment& d : deployments_) {
+    d.header_index.clear();
+    if (d.checker == nullptr) continue;
+    for (const HeaderField& f : d.headers) {
+      const auto it =
+          std::find(header_fields_.begin(), header_fields_.end(), f);
+      d.header_index.push_back(
+          static_cast<std::uint32_t>(it - header_fields_.begin()));
+      if (it == header_fields_.end()) header_fields_.push_back(f);
+    }
+    const ir::SlotProgram& prog = d.checker->slots;
+    for (const ir::HeaderLoad& h : prog.init.headers) {
+      add_unique(init_headers_, d.header_index[h.header]);
+    }
+    for (const ir::SlotBlock* b : {&prog.tele_block, &prog.check}) {
+      for (const ir::HeaderLoad& h : b->headers) {
+        add_unique(run_headers_, d.header_index[h.header]);
+      }
+    }
+  }
+  for (ExecContext& ctx : contexts_) ctx.hdr.assign(header_fields_.size(), 0);
 }
 
 // ---- observability --------------------------------------------------------
@@ -1320,7 +1391,7 @@ void Network::set_forensics(bool enabled, std::size_t ring_capacity) {
     obs_->recorder.reset();
     obs_->violations.clear();
     obs_->violations_seen = 0;
-    rewire_observability();  // disarms interpreter provenance capture
+    rewire_observability();  // disarms executor provenance capture
     return;
   }
   if (ring_capacity == 0) {
@@ -1852,7 +1923,7 @@ void Network::obs_restore(const std::string& text) {
         if (ls.fail() || g != generations_.size() || prop.empty()) {
           bad_snapshot(line);
         }
-        generations_.push_back({nullptr, std::move(prop), retired != 0});
+        generations_.push_back({nullptr, std::move(prop), retired != 0, -1});
       } else if (kw == "dep") {
         int slot = -1;
         int live = 0;
@@ -1895,6 +1966,7 @@ void Network::obs_restore(const std::string& text) {
         deployments_.emplace_back();
         Deployment& d = deployments_.back();
         d.checker = sp;
+        d.headers = bind_checker_headers(*sp);
         d.tele_wire_bytes = sp->layout.wire_bytes;
         d.generation = pending.gen;
         d.live = pending.live;
@@ -1911,7 +1983,9 @@ void Network::obs_restore(const std::string& text) {
           }
         }
         generations_[d.generation].checker = sp;
+        generations_[d.generation].wire_bytes = sp->layout.wire_bytes;
         for (auto& ctx : contexts_) add_context_scratch(ctx, d);
+        rebind_headers();
         pending.valid = false;
       } else if (kw == "tab" || kw == "reg") {
         int slot = -1;
@@ -2153,8 +2227,8 @@ void Network::rewire_observability() {
         pd.decode_rejects = {};
         pd.decode_recovered = {};
         pd.cold_suppr = {};
-        pd.interp->attach_metrics({});
-        pd.interp->set_provenance(nullptr);
+        pd.exec->attach_metrics({});
+        pd.exec->set_provenance(nullptr);
       }
       ctx.sink = nullptr;
       ctx.shadow.reset();
@@ -2226,11 +2300,11 @@ void Network::rewire_observability() {
                                  "hydra_interp_reg_reads_total", by_prop);
       im.reg_writes = reg.counter("p4rt.interp." + cn + ".reg_writes",
                                   "hydra_interp_reg_writes_total", by_prop);
-      pd.interp->attach_metrics(im);
+      pd.exec->attach_metrics(im);
       // Provenance capture feeds the flight recorder; disarmed (one branch
       // per lookup/register op) unless forensics is on.
-      pd.interp->set_provenance(obs_->recorder != nullptr ? &pd.prov
-                                                          : nullptr);
+      pd.exec->set_provenance(obs_->recorder != nullptr ? &pd.prov
+                                                        : nullptr);
     }
   }
 

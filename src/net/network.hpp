@@ -30,12 +30,12 @@
 //     exactly as under serial execution.
 //
 // OWNERSHIP RULE (per-worker execution contexts): all per-packet scratch —
-// the interpreter instance (whose table-key buffer is reused across
-// lookups), the value-store scratch, the ExecOutcome scratch, the hot-path
-// observability handles, and the RNG stream — lives in an ExecContext, one
-// per engine worker, NEVER in the shared Deployment. A deployment-level
-// scratch buffer (as PR 1 had) is a latent shared-state hazard the moment
-// two switches process packets concurrently.
+// the slot-program executor (whose table-key buffer is reused across
+// lookups), the slot store, the header array, the ExecOutcome scratch, the
+// hot-path observability handles, and the RNG stream — lives in an
+// ExecContext, one per engine worker, NEVER in the shared Deployment. A
+// deployment-level scratch buffer is a latent shared-state hazard the
+// moment two switches process packets concurrently.
 //
 // STATE-CONFINEMENT RULE: per-switch state (checker registers and tables,
 // their last-hit caches, forwarding tables, cold_until_, swap phases,
@@ -67,7 +67,7 @@
 #include "obs/topk.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "p4rt/interp.hpp"
+#include "p4rt/slot_exec.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -136,10 +136,10 @@ struct HopResult {
 // the switch's home context, Network::shard_of.
 struct ExecContext {
   struct PerDeployment {
-    std::unique_ptr<p4rt::Interp> interp;
-    // Per-packet value-store scratch reused across hops so the hot path
+    std::unique_ptr<p4rt::SlotExec> exec;
+    // Per-packet slot-store scratch reused across hops so the hot path
     // does not allocate.
-    std::vector<BitVec> vals;
+    std::vector<std::uint64_t> slots;
     p4rt::ExecOutcome out;
     // Hot-path counters, attached to `sink` while observability is on.
     obs::Counter init_runs;
@@ -153,11 +153,15 @@ struct ExecContext {
     obs::Counter decode_recovered;
     obs::Counter cold_suppr;
     // Provenance scratch for the forensics flight recorder: armed on the
-    // interp only while forensics is on; buffers reuse capacity across
-    // packets, same discipline as `vals`.
+    // executor only while forensics is on; buffers reuse capacity across
+    // packets, same discipline as `slots`.
     p4rt::ExecProvenance prov;
   };
   std::vector<PerDeployment> deps;  // indexed by deployment id
+  // This hop's header values, indexed like Network::header_fields_: filled
+  // from the pre-forwarding HopContext for init blocks, then from the
+  // post-forwarding one for telemetry and check blocks.
+  std::vector<std::uint64_t> hdr;
   // Where this context's hot-path counters land: the main registry for the
   // serial engine (and parallel shard 0), a shard-local shadow registry for
   // parallel workers — merged into the main registry at drain barriers so
@@ -204,7 +208,10 @@ class Network {
   // throws std::runtime_error when all slots are live. Retired slots are
   // REUSED — the new property gets a fresh generation tag, so straggler
   // frames of the old occupant reject fail-closed instead of being
-  // misattributed.
+  // misattributed. deploy and deploy_rolling bind the checker's header
+  // annotations first and throw std::invalid_argument, naming the checker
+  // and the annotation, for one the data plane does not know (see
+  // bind_header); nothing is staged then.
   static constexpr int kMaxDeployments = 64;
   int deploy(std::shared_ptr<const compiler::CompiledChecker> checker);
   int deployment_count() const { return static_cast<int>(deployments_.size()); }
@@ -374,7 +381,7 @@ class Network {
   // detached obs handles, so the only per-packet cost is a handful of
   // predictable null-check branches — on both engines. Enabling wires
   // counters through every layer — per-table lookup hits/misses,
-  // interpreter instruction counts, per-switch forwarded/dropped/rejected,
+  // checker IR instruction counts, per-switch forwarded/dropped/rejected,
   // per-checker block-run and verdict counts — and arms the packet trace
   // sampler. Under the parallel engine, hot-path counters land in
   // shard-local registries and are merged at drain barriers. Disabling
@@ -591,6 +598,11 @@ class Network {
   struct Deployment {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::vector<p4rt::CheckerState> per_switch;  // indexed by node id
+    // The checker's slot-program header annotations, bound at deploy
+    // (by header id), and each one's index into header_fields_ (and
+    // ExecContext::hdr), set by rebind_headers.
+    std::vector<HeaderField> headers;
+    std::vector<std::uint32_t> header_index;
     int tele_wire_bytes = 0;
     // Generation tag stamped into this occupant's telemetry frames; bumps
     // on every (re)deploy so slot reuse never mixes properties.
@@ -613,6 +625,9 @@ class Network {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::string property;
     bool retired = false;
+    // checker->layout.wire_bytes, or -1 without a checker; packet sizing
+    // reads it twice per hop for every frame aboard.
+    int wire_bytes = -1;
   };
 
   struct SwitchObsCounters {
@@ -654,10 +669,14 @@ class Network {
   // deployments, then rewires observability.
   void rebuild_contexts();
   void add_context_scratch(ExecContext& ctx, const Deployment& d);
-  // Rebinds every context's slot `slot` scratch (interpreter, value
-  // store) to the slot's current checker — the reuse path of a retired
-  // slot.
+  // Rebinds every context's slot `slot` scratch (executor, slot store) to
+  // the slot's current checker — the reuse path of a retired slot.
   void reset_context_scratch(std::size_t slot);
+  // Recomputes header_fields_, the per-phase fill lists and every
+  // deployment's header_index from the deployed checkers, and resizes the
+  // contexts' header arrays. Runs between drains (deploy, restore,
+  // engine switch).
+  void rebind_headers();
   // Stages `checker` into a reused-or-fresh slot with every switch at
   // `phase`; throws std::runtime_error at the kMaxDeployments cap.
   int stage_deployment(std::shared_ptr<const compiler::CompiledChecker> c,
@@ -745,6 +764,12 @@ class Network {
   std::vector<Host> hosts_;    // indexed by node id (empty for switches)
   std::vector<std::shared_ptr<ForwardingProgram>> programs_;  // by node id
   std::vector<Deployment> deployments_;
+  // Deploy-time header binding: every distinct data-plane field a deployed
+  // checker declares, and the indices of those some init block (resp. some
+  // telemetry or check block) reads, filled once per hop and phase.
+  std::vector<HeaderField> header_fields_;
+  std::vector<std::uint32_t> init_headers_;
+  std::vector<std::uint32_t> run_headers_;
   std::vector<GenerationInfo> generations_;  // by generation id, append-only
   // Stale-frame reject counters by generation id (commit path only;
   // detached while observability is off).

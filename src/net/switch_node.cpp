@@ -1,136 +1,212 @@
 #include "net/switch_node.hpp"
 
 #include <stdexcept>
-
-#include "util/strings.hpp"
+#include <string_view>
+#include <unordered_map>
 
 namespace hydra::net {
 
 namespace {
 
-BitVec bv(int width, std::uint64_t v) { return BitVec(width, v); }
-BitVec flag(bool b) { return BitVec::from_bool(b); }
+struct Binding {
+  const char* annotation;
+  HeaderKind kind;
+};
 
-// Resolves the inner-vs-outer view of IPv4/L4 fields.
-const p4rt::Ipv4H* outer_ip(const p4rt::Packet& p) {
-  return p.ipv4 ? &*p.ipv4 : nullptr;
+// Every annotation the data plane understands, each listed once.
+constexpr Binding kBindings[] = {
+    {"std.last_hop", HeaderKind::kLastHop},
+    {"std.first_hop", HeaderKind::kFirstHop},
+    {"std.packet_length", HeaderKind::kPacketLength},
+    {"in_port", HeaderKind::kInPort},
+    {"ig_port", HeaderKind::kInPort},
+    {"standard_metadata.ingress_port", HeaderKind::kInPort},
+    {"eg_port", HeaderKind::kEgPort},
+    {"egress_port", HeaderKind::kEgPort},
+    {"standard_metadata.egress_port", HeaderKind::kEgPort},
+    {"switch_id", HeaderKind::kSwitchId},
+    {"to_be_dropped", HeaderKind::kToBeDropped},
+    {"eth_src", HeaderKind::kEthSrc},
+    {"hdr.ethernet.src_addr", HeaderKind::kEthSrc},
+    {"eth_dst", HeaderKind::kEthDst},
+    {"hdr.ethernet.dst_addr", HeaderKind::kEthDst},
+    {"eth_type", HeaderKind::kEthType},
+    {"hdr.ethernet.ether_type", HeaderKind::kEthType},
+    {"vlan_is_valid", HeaderKind::kVlanValid},
+    {"vlan_id", HeaderKind::kVlanId},
+    {"hdr.vlan.vid", HeaderKind::kVlanId},
+    {"ipv4_is_valid", HeaderKind::kIpv4Valid},
+    {"ipv4_src", HeaderKind::kIpv4Src},
+    {"outer_ipv4_src", HeaderKind::kIpv4Src},
+    {"hdr.ipv4.src_addr", HeaderKind::kIpv4Src},
+    {"ipv4_dst", HeaderKind::kIpv4Dst},
+    {"outer_ipv4_dst", HeaderKind::kIpv4Dst},
+    {"hdr.ipv4.dst_addr", HeaderKind::kIpv4Dst},
+    {"ipv4_proto", HeaderKind::kIpv4Proto},
+    {"outer_ipv4_proto", HeaderKind::kIpv4Proto},
+    {"hdr.ipv4.protocol", HeaderKind::kIpv4Proto},
+    {"ipv4_ttl", HeaderKind::kIpv4Ttl},
+    {"ipv4_dscp", HeaderKind::kIpv4Dscp},
+    {"tcp_is_valid", HeaderKind::kTcpValid},
+    {"udp_is_valid", HeaderKind::kUdpValid},
+    {"tcp_sport", HeaderKind::kTcpSport},
+    {"outer_tcp_sport", HeaderKind::kTcpSport},
+    {"tcp_dport", HeaderKind::kTcpDport},
+    {"outer_tcp_dport", HeaderKind::kTcpDport},
+    {"udp_sport", HeaderKind::kUdpSport},
+    {"outer_udp_sport", HeaderKind::kUdpSport},
+    {"udp_dport", HeaderKind::kUdpDport},
+    {"outer_udp_dport", HeaderKind::kUdpDport},
+    {"l4_sport", HeaderKind::kL4Sport},
+    {"l4_dport", HeaderKind::kL4Dport},
+    {"gtpu_is_valid", HeaderKind::kGtpuValid},
+    {"gtpu_teid", HeaderKind::kGtpuTeid},
+    {"inner_ipv4_is_valid", HeaderKind::kInnerIpv4Valid},
+    {"inner_ipv4_src", HeaderKind::kInnerIpv4Src},
+    {"inner_ipv4_dst", HeaderKind::kInnerIpv4Dst},
+    {"inner_ipv4_proto", HeaderKind::kInnerIpv4Proto},
+    {"inner_tcp_is_valid", HeaderKind::kInnerTcpValid},
+    {"inner_udp_is_valid", HeaderKind::kInnerUdpValid},
+    {"inner_tcp_sport", HeaderKind::kInnerTcpSport},
+    {"inner_tcp_dport", HeaderKind::kInnerTcpDport},
+    {"inner_udp_sport", HeaderKind::kInnerUdpSport},
+    {"inner_udp_dport", HeaderKind::kInnerUdpDport},
+    {"sr_is_valid", HeaderKind::kSrValid},
+    {"sr_depth", HeaderKind::kSrDepth},
+};
+
+constexpr char kSrPortPrefix[] = "sr_port_";
+
+bool is_flag(HeaderKind k) {
+  switch (k) {
+    case HeaderKind::kLastHop:
+    case HeaderKind::kFirstHop:
+    case HeaderKind::kToBeDropped:
+    case HeaderKind::kVlanValid:
+    case HeaderKind::kIpv4Valid:
+    case HeaderKind::kTcpValid:
+    case HeaderKind::kUdpValid:
+    case HeaderKind::kGtpuValid:
+    case HeaderKind::kInnerIpv4Valid:
+    case HeaderKind::kInnerTcpValid:
+    case HeaderKind::kInnerUdpValid:
+    case HeaderKind::kSrValid:
+      return true;
+    default:
+      return false;
+  }
 }
-const p4rt::L4H* outer_l4(const p4rt::Packet& p) {
-  return p.l4 ? &*p.l4 : nullptr;
+
+// TCP/UDP validity follows the IPv4 protocol of the same header level.
+bool l4_is(const std::optional<p4rt::Ipv4H>& ip,
+           const std::optional<p4rt::L4H>& l4, std::uint8_t proto) {
+  return ip && l4 && ip->proto == proto;
 }
 
 }  // namespace
 
+std::optional<HeaderField> bind_header(const std::string& annotation) {
+  static const std::unordered_map<std::string_view, HeaderKind> by_name = [] {
+    std::unordered_map<std::string_view, HeaderKind> m;
+    for (const Binding& b : kBindings) m.emplace(b.annotation, b.kind);
+    return m;
+  }();
+  const auto it = by_name.find(annotation);
+  if (it != by_name.end()) return HeaderField{it->second, 0};
+  // sr_port_<i>: the i-th remaining hop in travel order.
+  const std::size_t prefix = sizeof(kSrPortPrefix) - 1;
+  if (annotation.size() > prefix && annotation.size() <= prefix + 5 &&
+      annotation.compare(0, prefix, kSrPortPrefix) == 0) {
+    std::uint32_t i = 0;
+    for (std::size_t c = prefix; c < annotation.size(); ++c) {
+      if (annotation[c] < '0' || annotation[c] > '9') return std::nullopt;
+      i = i * 10 + static_cast<std::uint32_t>(annotation[c] - '0');
+    }
+    if (i <= 0xffff) {
+      return HeaderField{HeaderKind::kSrPort, static_cast<std::uint16_t>(i)};
+    }
+  }
+  return std::nullopt;
+}
+
+std::uint64_t read_header(HeaderField field, const p4rt::Packet& pkt,
+                          const HopContext& ctx) {
+  using K = HeaderKind;
+  using p4rt::kProtoTcp;
+  using p4rt::kProtoUdp;
+  const auto& ip = pkt.ipv4;
+  const auto& l4 = pkt.l4;
+  const auto& iip = pkt.inner_ipv4;
+  const auto& il4 = pkt.inner_l4;
+  switch (field.kind) {
+    case K::kLastHop: return ctx.last_hop;
+    case K::kFirstHop: return ctx.first_hop;
+    case K::kPacketLength:
+      return static_cast<std::uint32_t>(ctx.wire_bytes);
+    case K::kInPort:
+      return static_cast<std::uint64_t>(ctx.in_port < 0 ? 0xff : ctx.in_port);
+    case K::kEgPort:
+      return static_cast<std::uint64_t>(ctx.eg_port < 0 ? 0xff : ctx.eg_port);
+    case K::kSwitchId: return ctx.switch_tag;
+    case K::kToBeDropped: return ctx.fwd_drop;
+    case K::kEthSrc: return pkt.eth.src;
+    case K::kEthDst: return pkt.eth.dst;
+    case K::kEthType: return pkt.eth.ethertype;
+    case K::kVlanValid: return pkt.vlan.has_value();
+    case K::kVlanId: return pkt.vlan ? pkt.vlan->vid : 0;
+    case K::kIpv4Valid: return ip.has_value();
+    case K::kIpv4Src: return ip ? ip->src : 0;
+    case K::kIpv4Dst: return ip ? ip->dst : 0;
+    case K::kIpv4Proto: return ip ? ip->proto : 0;
+    case K::kIpv4Ttl: return ip ? ip->ttl : 0;
+    case K::kIpv4Dscp: return ip ? ip->dscp : 0;
+    case K::kTcpValid: return l4_is(ip, l4, kProtoTcp);
+    case K::kUdpValid: return l4_is(ip, l4, kProtoUdp);
+    case K::kTcpSport: return l4_is(ip, l4, kProtoTcp) ? l4->sport : 0;
+    case K::kTcpDport: return l4_is(ip, l4, kProtoTcp) ? l4->dport : 0;
+    case K::kUdpSport: return l4_is(ip, l4, kProtoUdp) ? l4->sport : 0;
+    case K::kUdpDport: return l4_is(ip, l4, kProtoUdp) ? l4->dport : 0;
+    case K::kL4Sport: return l4 ? l4->sport : 0;
+    case K::kL4Dport: return l4 ? l4->dport : 0;
+    case K::kGtpuValid: return pkt.gtpu.has_value();
+    case K::kGtpuTeid: return pkt.gtpu ? pkt.gtpu->teid : 0;
+    case K::kInnerIpv4Valid: return iip.has_value();
+    case K::kInnerIpv4Src: return iip ? iip->src : 0;
+    case K::kInnerIpv4Dst: return iip ? iip->dst : 0;
+    case K::kInnerIpv4Proto: return iip ? iip->proto : 0;
+    case K::kInnerTcpValid: return l4_is(iip, il4, kProtoTcp);
+    case K::kInnerUdpValid: return l4_is(iip, il4, kProtoUdp);
+    case K::kInnerTcpSport:
+      return l4_is(iip, il4, kProtoTcp) ? il4->sport : 0;
+    case K::kInnerTcpDport:
+      return l4_is(iip, il4, kProtoTcp) ? il4->dport : 0;
+    case K::kInnerUdpSport:
+      return l4_is(iip, il4, kProtoUdp) ? il4->sport : 0;
+    case K::kInnerUdpDport:
+      return l4_is(iip, il4, kProtoUdp) ? il4->dport : 0;
+    case K::kSrValid: return pkt.has_sr;
+    case K::kSrDepth: return pkt.sr_stack.size();
+    case K::kSrPort:
+      // The stack is popped from the back; at the first hop, before any
+      // pop, index 0 is the sender's declared first hop.
+      return field.sr_index < pkt.sr_stack.size()
+                 ? pkt.sr_stack[pkt.sr_stack.size() - 1 - field.sr_index]
+                 : 0;
+  }
+  return 0;
+}
+
 BitVec resolve_header(const p4rt::Packet& pkt, const HopContext& ctx,
                       const std::string& annotation, int width) {
-  const std::string& a = annotation;
-
-  // Intrinsics.
-  if (a == "std.last_hop") return flag(ctx.last_hop);
-  if (a == "std.first_hop") return flag(ctx.first_hop);
-  if (a == "std.packet_length") {
-    return bv(32, static_cast<std::uint64_t>(ctx.wire_bytes));
+  const std::optional<HeaderField> field = bind_header(annotation);
+  if (!field) {
+    throw std::invalid_argument("unknown header annotation '" + annotation +
+                                "'");
   }
-
-  // Hop / switch state.
-  if (a == "in_port" || a == "ig_port" || a == "standard_metadata.ingress_port") {
-    return bv(width, static_cast<std::uint64_t>(
-                         ctx.in_port < 0 ? 0xff : ctx.in_port));
-  }
-  if (a == "eg_port" || a == "egress_port" || a == "standard_metadata.egress_port") {
-    return bv(width, static_cast<std::uint64_t>(
-                         ctx.eg_port < 0 ? 0xff : ctx.eg_port));
-  }
-  if (a == "switch_id") return bv(width, ctx.switch_tag);
-  if (a == "to_be_dropped") return flag(ctx.fwd_drop);
-
-  // Ethernet / VLAN.
-  if (a == "eth_src" || a == "hdr.ethernet.src_addr") return bv(width, pkt.eth.src);
-  if (a == "eth_dst" || a == "hdr.ethernet.dst_addr") return bv(width, pkt.eth.dst);
-  if (a == "eth_type" || a == "hdr.ethernet.ether_type") {
-    return bv(width, pkt.eth.ethertype);
-  }
-  if (a == "vlan_is_valid") return flag(pkt.vlan.has_value());
-  if (a == "vlan_id" || a == "hdr.vlan.vid") {
-    return bv(width, pkt.vlan ? pkt.vlan->vid : 0);
-  }
-
-  // Outer IPv4 (both the bare names and the explicit outer_ prefix).
-  const p4rt::Ipv4H* ip = outer_ip(pkt);
-  if (a == "ipv4_is_valid") return flag(ip != nullptr);
-  if (a == "ipv4_src" || a == "outer_ipv4_src" || a == "hdr.ipv4.src_addr") {
-    return bv(width, ip ? ip->src : 0);
-  }
-  if (a == "ipv4_dst" || a == "outer_ipv4_dst" || a == "hdr.ipv4.dst_addr") {
-    return bv(width, ip ? ip->dst : 0);
-  }
-  if (a == "ipv4_proto" || a == "outer_ipv4_proto" || a == "hdr.ipv4.protocol") {
-    return bv(width, ip ? ip->proto : 0);
-  }
-  if (a == "ipv4_ttl") return bv(width, ip ? ip->ttl : 0);
-  if (a == "ipv4_dscp") return bv(width, ip ? ip->dscp : 0);
-
-  // Outer L4.
-  const p4rt::L4H* l4 = outer_l4(pkt);
-  const bool outer_tcp = ip != nullptr && ip->proto == p4rt::kProtoTcp &&
-                         l4 != nullptr;
-  const bool outer_udp = ip != nullptr && ip->proto == p4rt::kProtoUdp &&
-                         l4 != nullptr;
-  if (a == "tcp_is_valid") return flag(outer_tcp);
-  if (a == "udp_is_valid") return flag(outer_udp);
-  if (a == "tcp_sport" || a == "outer_tcp_sport") {
-    return bv(width, outer_tcp ? l4->sport : 0);
-  }
-  if (a == "tcp_dport" || a == "outer_tcp_dport") {
-    return bv(width, outer_tcp ? l4->dport : 0);
-  }
-  if (a == "udp_sport" || a == "outer_udp_sport") {
-    return bv(width, outer_udp ? l4->sport : 0);
-  }
-  if (a == "udp_dport" || a == "outer_udp_dport") {
-    return bv(width, outer_udp ? l4->dport : 0);
-  }
-  if (a == "l4_sport") return bv(width, l4 ? l4->sport : 0);
-  if (a == "l4_dport") return bv(width, l4 ? l4->dport : 0);
-
-  // GTP-U tunnel.
-  if (a == "gtpu_is_valid") return flag(pkt.gtpu.has_value());
-  if (a == "gtpu_teid") return bv(width, pkt.gtpu ? pkt.gtpu->teid : 0);
-
-  // Inner headers (Aether uplink direction).
-  const p4rt::Ipv4H* iip = pkt.inner_ipv4 ? &*pkt.inner_ipv4 : nullptr;
-  const p4rt::L4H* il4 = pkt.inner_l4 ? &*pkt.inner_l4 : nullptr;
-  const bool inner_tcp =
-      iip != nullptr && iip->proto == p4rt::kProtoTcp && il4 != nullptr;
-  const bool inner_udp =
-      iip != nullptr && iip->proto == p4rt::kProtoUdp && il4 != nullptr;
-  if (a == "inner_ipv4_is_valid") return flag(iip != nullptr);
-  if (a == "inner_ipv4_src") return bv(width, iip ? iip->src : 0);
-  if (a == "inner_ipv4_dst") return bv(width, iip ? iip->dst : 0);
-  if (a == "inner_ipv4_proto") return bv(width, iip ? iip->proto : 0);
-  if (a == "inner_tcp_is_valid") return flag(inner_tcp);
-  if (a == "inner_udp_is_valid") return flag(inner_udp);
-  if (a == "inner_tcp_sport") return bv(width, inner_tcp ? il4->sport : 0);
-  if (a == "inner_tcp_dport") return bv(width, inner_tcp ? il4->dport : 0);
-  if (a == "inner_udp_sport") return bv(width, inner_udp ? il4->sport : 0);
-  if (a == "inner_udp_dport") return bv(width, inner_udp ? il4->dport : 0);
-
-  // Source routing. sr_port_<i> is the i-th remaining hop in travel order
-  // (the stack is popped from the back); at the first hop, before any pop,
-  // this is the sender's declared route.
-  if (a == "sr_is_valid") return flag(pkt.has_sr);
-  if (a == "sr_depth") {
-    return bv(width, static_cast<std::uint64_t>(pkt.sr_stack.size()));
-  }
-  if (a.rfind("sr_port_", 0) == 0) {
-    const auto i = static_cast<std::size_t>(std::stoi(a.substr(8)));
-    if (i < pkt.sr_stack.size()) {
-      return bv(width, pkt.sr_stack[pkt.sr_stack.size() - 1 - i]);
-    }
-    return bv(width, 0);
-  }
-
-  throw std::invalid_argument("unknown header annotation '" + a + "'");
+  const int w = is_flag(field->kind)                        ? 1
+                : field->kind == HeaderKind::kPacketLength ? 32
+                                                            : width;
+  return BitVec(w, read_header(*field, pkt, ctx));
 }
 
 }  // namespace hydra::net

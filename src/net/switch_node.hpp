@@ -6,6 +6,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -26,13 +27,51 @@ struct HopContext {
   int wire_bytes = 0;        // packet length on the wire at this hop
 };
 
-// Resolves a header variable annotation to its value. Annotations cover
-// the paper's examples: switch ports (`in_port`, `eg_port`), IPv4/L4
-// fields with `ipv4_*`/`outer_*`/`inner_*` prefixes and `*_is_valid`
-// flags, GTP-U (`gtpu_teid`), VLAN (`vlan_id`), `to_be_dropped`,
-// `switch_id`, and the std.* intrinsics (first/last hop, packet length).
-// Unknown annotations throw std::invalid_argument so checker/forwarding
-// mismatches surface loudly instead of reading zeros.
+// The data-plane fields a checker's header variables can bind to.
+enum class HeaderKind : std::uint8_t {
+  // Intrinsics and hop state.
+  kLastHop, kFirstHop, kPacketLength, kInPort, kEgPort, kSwitchId,
+  kToBeDropped,
+  // Ethernet / VLAN.
+  kEthSrc, kEthDst, kEthType, kVlanValid, kVlanId,
+  // Outer IPv4 and L4.
+  kIpv4Valid, kIpv4Src, kIpv4Dst, kIpv4Proto, kIpv4Ttl, kIpv4Dscp,
+  kTcpValid, kUdpValid, kTcpSport, kTcpDport, kUdpSport, kUdpDport,
+  kL4Sport, kL4Dport,
+  // GTP-U and the tunnelled inner headers.
+  kGtpuValid, kGtpuTeid, kInnerIpv4Valid, kInnerIpv4Src, kInnerIpv4Dst,
+  kInnerIpv4Proto, kInnerTcpValid, kInnerUdpValid, kInnerTcpSport,
+  kInnerTcpDport, kInnerUdpSport, kInnerUdpDport,
+  // Source routing.
+  kSrValid, kSrDepth, kSrPort,
+};
+
+// A bound header annotation. Several annotations name the same field
+// (`in_port`, `ig_port`, `standard_metadata.ingress_port`); they bind equal.
+struct HeaderField {
+  HeaderKind kind = HeaderKind::kLastHop;
+  std::uint16_t sr_index = 0;  // kSrPort: remaining hop, in travel order
+  bool operator==(const HeaderField&) const = default;
+};
+
+// Binds a header variable annotation, once, at deploy time. Annotations
+// cover the paper's examples: switch ports (`in_port`, `eg_port`),
+// IPv4/L4 fields with `ipv4_*`/`outer_*`/`inner_*` prefixes and
+// `*_is_valid` flags, GTP-U (`gtpu_teid`), VLAN (`vlan_id`),
+// `to_be_dropped`, `switch_id`, source routing (`sr_is_valid`, `sr_depth`,
+// `sr_port_<i>` with a decimal i below 65536), and the std.* intrinsics
+// (first/last hop, packet length). Returns nullopt for anything else.
+std::optional<HeaderField> bind_header(const std::string& annotation);
+
+// The field's value at this hop, before any width mask: flags read 0 or 1,
+// the packet length its 32-bit value, absent headers 0.
+std::uint64_t read_header(HeaderField field, const p4rt::Packet& pkt,
+                          const HopContext& ctx);
+
+// bind_header + read_header as a BitVec of `width` bits (one bit for
+// flags, 32 for std.packet_length): how p4rt::Interp, the reference
+// executor, reads headers. Unknown annotations throw std::invalid_argument
+// so checker/forwarding mismatches surface loudly instead of reading zeros.
 BitVec resolve_header(const p4rt::Packet& pkt, const HopContext& ctx,
                       const std::string& annotation, int width);
 

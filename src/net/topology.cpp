@@ -16,6 +16,7 @@ int Topology::add_switch(const std::string& name) {
   n.kind = NodeKind::kSwitch;
   n.name = name;
   nodes_.push_back(std::move(n));
+  port_begin_.push_back(port_begin_.back());
   return node_count() - 1;
 }
 
@@ -26,6 +27,7 @@ int Topology::add_host(const std::string& name, std::uint32_t ip) {
   n.ip = ip;
   n.mac = 0x020000000000ULL + static_cast<std::uint64_t>(nodes_.size());
   nodes_.push_back(std::move(n));
+  port_begin_.push_back(port_begin_.back());
   return node_count() - 1;
 }
 
@@ -33,29 +35,46 @@ int Topology::add_link(PortRef a, PortRef b, double latency_s, double gbps,
                        double buffer_bytes) {
   node_checked(a.node);
   node_checked(b.node);
+  constexpr int kMaxPort = 0xffff;
+  if (a.port < 0 || b.port < 0 || a.port > kMaxPort || b.port > kMaxPort) {
+    throw std::invalid_argument("link ports must be in [0, 65535]");
+  }
   if (link_index(a) != -1 || link_index(b) != -1) {
     throw std::invalid_argument("port already connected");
   }
   if (buffer_bytes <= 0.0) {
     throw std::invalid_argument("link buffer_bytes must be positive");
   }
+  const int index = static_cast<int>(links_.size());
   links_.push_back({a, b, latency_s, gbps, buffer_bytes});
-  return static_cast<int>(links_.size()) - 1;
+  for (const PortRef end : {a, b}) {
+    const auto n = static_cast<std::size_t>(end.node);
+    const int grow = end.port + 1 - (port_begin_[n + 1] - port_begin_[n]);
+    if (grow > 0) {
+      port_links_.insert(port_links_.begin() + port_begin_[n + 1], grow, -1);
+      for (std::size_t m = n + 1; m < port_begin_.size(); ++m) {
+        port_begin_[m] += grow;
+      }
+    }
+    port_links_[static_cast<std::size_t>(port_begin_[n] + end.port)] = index;
+  }
+  return index;
 }
 
 std::optional<PortRef> Topology::peer(PortRef p) const {
-  for (const auto& l : links_) {
-    if (l.a == p) return l.b;
-    if (l.b == p) return l.a;
-  }
-  return std::nullopt;
+  const int i = link_index(p);
+  if (i < 0) return std::nullopt;
+  const LinkSpec& l = links_[static_cast<std::size_t>(i)];
+  return l.a == p ? l.b : l.a;
 }
 
 int Topology::link_index(PortRef p) const {
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].a == p || links_[i].b == p) return static_cast<int>(i);
-  }
-  return -1;
+  if (p.node < 0 || p.node >= node_count() || p.port < 0) return -1;
+  const auto n = static_cast<std::size_t>(p.node);
+  const int slot = port_begin_[n] + p.port;
+  return slot < port_begin_[n + 1]
+             ? port_links_[static_cast<std::size_t>(slot)]
+             : -1;
 }
 
 bool Topology::host_facing(PortRef p) const {

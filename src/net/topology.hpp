@@ -41,6 +41,8 @@ class Topology {
  public:
   int add_switch(const std::string& name);
   int add_host(const std::string& name, std::uint32_t ip);
+  // Throws std::invalid_argument for a port outside [0, 65535] or one
+  // already connected.
   int add_link(PortRef a, PortRef b, double latency_s = 2e-6,
                double gbps = 100.0,
                double buffer_bytes = 1024.0 * 1024.0);
@@ -68,6 +70,12 @@ class Topology {
 
   std::vector<NodeSpec> nodes_;
   std::vector<LinkSpec> links_;
+  // Port -> index into links_ (-1 where unconnected), flattened: node n's
+  // ports are port_links_[port_begin_[n] .. port_begin_[n + 1]). peer,
+  // link_index and host_facing run on every hop; two vectors keep the
+  // Topology cheap to build and to copy.
+  std::vector<int> port_begin_{0};
+  std::vector<int> port_links_;
 };
 
 // A built leaf-spine fabric with its id maps. Port conventions:

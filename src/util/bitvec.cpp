@@ -5,17 +5,9 @@
 
 namespace hydra {
 
-BitVec::BitVec(int width, std::uint64_t value) : width_(width) {
-  if (width < 1 || width > kMaxWidth) {
-    throw std::invalid_argument("BitVec width out of range: " +
-                                std::to_string(width));
-  }
-  value_ = value & mask(width);
-}
-
-std::uint64_t BitVec::mask(int width) {
-  if (width >= 64) return ~0ULL;
-  return (1ULL << width) - 1;
+void BitVec::throw_bad_width(int width) {
+  throw std::invalid_argument("BitVec width out of range: " +
+                              std::to_string(width));
 }
 
 namespace {

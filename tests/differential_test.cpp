@@ -1,11 +1,17 @@
 // Differential testing of the compiler: for randomly generated well-typed
 // Indus programs, random control-plane contents, and random header traces,
-// the REFERENCE AST interpreter (src/indus/eval_ref) and the COMPILED
-// pipeline (lowering -> IR -> p4rt interpreter) must agree on
+// three executions must agree:
+//   * the REFERENCE AST interpreter (src/indus/eval_ref),
+//   * the IR interpreter (lowering -> IR -> p4rt::Interp),
+//   * the slot program switches run (IR -> ir::lower_to_slots ->
+//     p4rt::SlotExec),
+// on
 //   * the reject verdict,
-//   * every report payload (order and values),
-//   * the final telemetry state (scalars, array slots, fill counts).
-// Any divergence is a compiler bug.
+//   * every report payload (order, values and widths),
+//   * the final telemetry state (scalars, array slots, fill counts) and
+//     sensor registers.
+// The IR interpreter and the slot program must further agree on every IR
+// field and on the InterpMetrics counts. Any divergence is a compiler bug.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,7 +21,9 @@
 #include "indus/parser.hpp"
 #include "indus/pretty.hpp"
 #include "indus_gen.hpp"
+#include "obs/metrics.hpp"
 #include "p4rt/interp.hpp"
+#include "p4rt/slot_exec.hpp"
 #include "util/rng.hpp"
 
 namespace hydra {
@@ -80,14 +88,20 @@ struct Differential {
     };
     const auto& d1w = compiled.ir.tables[static_cast<std::size_t>(
                           compiled.ir.find_table("dict1"))].value_widths;
+    // A repeated random key keeps its first entry on both sides: the table
+    // breaks equal-priority ties by insertion order, so emplace, not
+    // overwrite, in the reference's map.
     for (const auto& [k, v] : cp.dict1) {
       table("dict1").insert_exact({BitVec(8, k)}, {BitVec(d1w[0], v)});
-      rstate.dicts["dict1"][{k}] = {BitVec(d1w[0], v)};
+      rstate.dicts["dict1"].emplace(std::vector<std::uint64_t>{k},
+                                    indus::RefValue{BitVec(d1w[0], v)});
     }
     for (const auto& [kk, v] : cp.dict2) {
       table("dict2").insert_exact({BitVec(8, kk.first), BitVec(8, kk.second)},
                                   {BitVec::from_bool(v)});
-      rstate.dicts["dict2"][{kk.first, kk.second}] = {BitVec::from_bool(v)};
+      rstate.dicts["dict2"].emplace(
+          std::vector<std::uint64_t>{kk.first, kk.second},
+          indus::RefValue{BitVec::from_bool(v)});
     }
     for (const auto k : cp.set1) {
       table("set1").insert_exact({BitVec(8, k)}, {});
@@ -101,47 +115,113 @@ struct Differential {
     rstate.configs["carr"] = carr_vals;
   }
 
-  // Runs both interpreters over `hops` and compares everything.
+  // Runs all three executions over `hops` and compares everything.
   void check(const ControlPlane& cp, const std::vector<HopHeaders>& hops) {
-    // --- compiled side ---
+    // --- IR interpreter ---
     p4rt::Interp interp(compiled.ir);
     p4rt::CheckerState istate = p4rt::make_checker_state(compiled.ir);
+    // --- slot program ---
+    const ir::SlotProgram& prog = compiled.slots;
+    p4rt::SlotExec exec(prog);
+    p4rt::CheckerState fstate = p4rt::make_checker_state(compiled.ir);
     // --- reference side ---
     RefEvaluator ref(program, symbols);
     RefState rstate;
     ref.init_packet_state(rstate);
     ref.init_switch_state(rstate);
     install(cp, istate, rstate);
+    RefState unused;
+    install(cp, fstate, unused);
+
+    obs::Registry reg;
+    p4rt::InterpMetrics im;
+    im.instructions = reg.counter("i.instructions");
+    im.table_lookups = reg.counter("i.table_lookups");
+    im.reg_reads = reg.counter("i.reg_reads");
+    im.reg_writes = reg.counter("i.reg_writes");
+    interp.attach_metrics(im);
+    p4rt::InterpMetrics fm;
+    fm.instructions = reg.counter("f.instructions");
+    fm.table_lookups = reg.counter("f.table_lookups");
+    fm.reg_reads = reg.counter("f.reg_reads");
+    fm.reg_writes = reg.counter("f.reg_writes");
+    exec.attach_metrics(fm);
 
     auto vals = interp.fresh_store();
+    auto slots = exec.fresh_slots();
     p4rt::ExecOutcome iout;
+    p4rt::ExecOutcome fout;
     RefOutcome rout;
 
     const HopHeaders* hop = &hops.front();
     auto resolver = [&hop](const std::string& ann, int w) {
       return hop->get(ann, w);
     };
+    // The slot program reads headers from an array indexed by header id.
+    std::vector<std::uint64_t> hdr(prog.headers.size());
+    std::vector<std::uint32_t> hdr_index(prog.headers.size());
+    auto bind = [&] {
+      for (std::size_t h = 0; h < prog.headers.size(); ++h) {
+        hdr[h] = hop->get(prog.headers[h], 64).value();
+        hdr_index[h] = static_cast<std::uint32_t>(h);
+      }
+    };
+    auto run_flat = [&](const ir::SlotBlock& block) {
+      bind();
+      exec.run(block, slots, fstate, hdr.data(), hdr_index.data(), fout);
+    };
 
     interp.run(compiled.ir.init_block, vals, istate, resolver, iout);
+    run_flat(prog.init);
     ref.run_init(rstate, resolver, rout);
     for (const auto& h : hops) {
       hop = &h;
       interp.run(compiled.ir.tele_block, vals, istate, resolver, iout);
+      run_flat(prog.tele_block);
       ref.run_tele(rstate, resolver, rout);
     }
     hop = &hops.back();
     interp.run(compiled.ir.check_block, vals, istate, resolver, iout);
+    run_flat(prog.check);
     ref.run_check(rstate, resolver, rout);
 
     // Verdict + reports.
     ASSERT_EQ(iout.reject, rout.reject) << context();
+    ASSERT_EQ(fout.reject, iout.reject) << context();
     ASSERT_EQ(iout.reports.size(), rout.reports.size()) << context();
+    ASSERT_EQ(fout.reports.size(), iout.reports.size()) << context();
     for (std::size_t r = 0; r < iout.reports.size(); ++r) {
       ASSERT_EQ(iout.reports[r].size(), rout.reports[r].size()) << context();
+      ASSERT_EQ(fout.reports[r].size(), iout.reports[r].size()) << context();
       for (std::size_t i = 0; i < iout.reports[r].size(); ++i) {
         EXPECT_EQ(iout.reports[r][i].value(), rout.reports[r][i].value())
             << "report " << r << " part " << i << context();
+        EXPECT_EQ(iout.reports[r][i].width(), rout.reports[r][i].width())
+            << "report " << r << " part " << i << context();
+        EXPECT_EQ(fout.reports[r][i].value(), iout.reports[r][i].value())
+            << "report " << r << " part " << i << context();
+        EXPECT_EQ(fout.reports[r][i].width(), iout.reports[r][i].width())
+            << "report " << r << " part " << i << context();
       }
+    }
+
+    // Slot program vs IR interpreter: every non-header field (header slots
+    // hold the bound values; the interpreter reads headers in place) and
+    // the execution counters.
+    for (std::size_t i = 0; i < compiled.ir.fields.size(); ++i) {
+      if (compiled.ir.fields[i].space == ir::Space::kHeader) continue;
+      EXPECT_EQ(slots[i], vals[i].value())
+          << compiled.ir.fields[i].name << context();
+    }
+    EXPECT_EQ(fm.instructions.value(), im.instructions.value()) << context();
+    EXPECT_EQ(fm.table_lookups.value(), im.table_lookups.value())
+        << context();
+    EXPECT_EQ(fm.reg_reads.value(), im.reg_reads.value()) << context();
+    EXPECT_EQ(fm.reg_writes.value(), im.reg_writes.value()) << context();
+    for (std::size_t r = 0; r < istate.registers.size(); ++r) {
+      EXPECT_EQ(fstate.registers[r].read(0).value(),
+                istate.registers[r].read(0).value())
+          << compiled.ir.registers[r].name << context();
     }
 
     // Final telemetry state.

@@ -1,8 +1,9 @@
 // Random well-typed Indus program generator for property-based tests
 // (parser round-trips, compiler differential testing). Programs draw from
-// a fixed set of declarations with randomized widths and random statement
-// trees, so they typecheck by construction while covering the whole
-// statement/expression surface.
+// a fixed set of declarations with randomized widths (1..64 bits) and
+// random statement trees, so they typecheck by construction while covering
+// the whole statement/expression surface: every arithmetic, bitwise and
+// shift operator, unary ~ and -, abs, and comparisons across widths.
 #pragma once
 
 #include <string>
@@ -56,7 +57,16 @@ class ProgramGen {
   }
 
  private:
-  int pick_width() { return static_cast<int>(rng_.range(4, 32)); }
+  int pick_width() { return static_cast<int>(rng_.range(1, 64)); }
+
+  // Mostly small literals (table keys, counters), sometimes any 64-bit one.
+  std::string literal() {
+    switch (rng_.below(4)) {
+      case 0: return std::to_string(rng_.next());
+      case 1: return std::to_string(rng_.below(64));  // shift amounts
+      default: return std::to_string(rng_.below(256));
+    }
+  }
 
   // Index expressions are reduced modulo the container size so they are
   // dynamic (never a bare literal, which would be a static bounds error)
@@ -69,7 +79,7 @@ class ProgramGen {
     // Leaves when depth is exhausted.
     if (depth <= 0 || rng_.chance(0.3)) {
       switch (rng_.below(loop_var_.empty() ? 7 : 8)) {
-        case 0: return std::to_string(rng_.below(256));
+        case 0: return literal();
         case 1: return "t0";
         case 2: return "t1";
         case 3: return "h0";
@@ -79,7 +89,7 @@ class ProgramGen {
         default: return loop_var_;
       }
     }
-    switch (rng_.below(8)) {
+    switch (rng_.below(10)) {
       case 0: return "dict1[" + bit_expr(depth - 1) + "]";
       case 1: return "arr[" + idx_expr(depth - 1, 4) + "]";
       case 2: return "carr[" + idx_expr(depth - 1, 3) + "]";
@@ -87,13 +97,21 @@ class ProgramGen {
       case 4:
         return "abs(" + bit_expr(depth - 1) + " - " + bit_expr(depth - 1) +
                ")";
-      case 5: {
-        static const char* ops[] = {"+", "-", "&", "|", "^"};
-        return "(" + bit_expr(depth - 1) + " " + ops[rng_.below(5)] + " " +
+      case 5:
+      case 6: {
+        static const char* ops[] = {"+", "-", "&", "|",  "^",
+                                    "*", "/", "%", "<<", ">>"};
+        return "(" + bit_expr(depth - 1) + " " + ops[rng_.below(10)] + " " +
                bit_expr(depth - 1) + ")";
       }
-      case 6: return "cfg";
-      default: return "(" + bit_expr(depth - 1) + " * 3)";
+      case 7: {
+        static const char* ops[] = {"~", "-"};
+        return std::string(ops[rng_.below(2)]) + "(" + bit_expr(depth - 1) +
+               ")";
+      }
+      case 8: return "abs(" + bit_expr(depth - 1) + ")";
+      default: return rng_.chance(0.5) ? "cfg"
+                                       : "(" + bit_expr(depth - 1) + " * 3)";
     }
   }
 

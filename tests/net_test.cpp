@@ -115,6 +115,29 @@ TEST(Topology, DoubleConnectRejected) {
   const int c = t.add_switch("c");
   t.add_link({a, 1}, {b, 1});
   EXPECT_THROW(t.add_link({a, 1}, {c, 1}), std::invalid_argument);
+  EXPECT_THROW(t.add_link({a, -1}, {c, 1}), std::invalid_argument);
+  EXPECT_THROW(t.add_link({a, 2}, {c, 65536}), std::invalid_argument);
+}
+
+TEST(Topology, PortIndexFindsLinksAndPeers) {
+  Topology t;
+  const int a = t.add_switch("a");
+  const int b = t.add_switch("b");
+  const int h = t.add_host("h", 0x0a000001);
+  EXPECT_EQ(t.add_link({a, 7}, {b, 2}), 0);
+  EXPECT_EQ(t.add_link({a, 0}, {h, 0}), 1);
+  EXPECT_EQ(t.link_index({a, 7}), 0);
+  EXPECT_EQ(t.link_index({b, 2}), 0);
+  EXPECT_EQ(t.link_index({a, 0}), 1);
+  for (const PortRef none : {PortRef{a, 3}, PortRef{a, 99}, PortRef{b, -1},
+                             PortRef{42, 0}, PortRef{-1, 0}}) {
+    EXPECT_EQ(t.link_index(none), -1);
+    EXPECT_FALSE(t.peer(none).has_value());
+  }
+  EXPECT_EQ(t.peer({a, 7})->node, b);
+  EXPECT_EQ(t.peer({b, 2})->port, 7);
+  EXPECT_TRUE(t.host_facing({a, 0}));
+  EXPECT_FALSE(t.host_facing({a, 7}));
 }
 
 // ---------------------------------------------------------------------------

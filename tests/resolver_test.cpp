@@ -5,7 +5,9 @@
 
 #include "compiler/compile.hpp"
 #include "checkers/library.hpp"
+#include "net/network.hpp"
 #include "net/switch_node.hpp"
+#include "net/topology.hpp"
 
 namespace hydra::net {
 namespace {
@@ -132,6 +134,97 @@ TEST(Resolver, ValueTruncatedToRequestedWidth) {
   Ctx c;
   c.hop.switch_tag = 0x1234;
   EXPECT_EQ(c.get("switch_id", 8).value(), 0x34u);
+}
+
+// ---------------------------------------------------------------------------
+// Deploy-time header binding
+// ---------------------------------------------------------------------------
+
+TEST(HeaderBinding, AliasesBindToOneField) {
+  EXPECT_EQ(bind_header("in_port"), bind_header("ig_port"));
+  EXPECT_EQ(bind_header("in_port"),
+            bind_header("standard_metadata.ingress_port"));
+  EXPECT_EQ(bind_header("ipv4_src"), bind_header("hdr.ipv4.src_addr"));
+  EXPECT_NE(bind_header("ipv4_src"), bind_header("ipv4_dst"));
+  const auto sr = bind_header("sr_port_12");
+  ASSERT_TRUE(sr.has_value());
+  EXPECT_EQ(sr->kind, HeaderKind::kSrPort);
+  EXPECT_EQ(sr->sr_index, 12u);
+  EXPECT_NE(bind_header("sr_port_1"), bind_header("sr_port_2"));
+}
+
+TEST(HeaderBinding, UnknownAnnotationsDoNotBind) {
+  for (const char* ann :
+       {"bogus", "", "sr_port_", "sr_port_x", "sr_port_3a", "sr_port_-1",
+        "sr_port_+1", "sr_port_65536", "sr_port_99999999999", "IN_PORT"}) {
+    EXPECT_FALSE(bind_header(ann).has_value()) << ann;
+    Ctx c;
+    EXPECT_THROW(c.get(ann), std::invalid_argument) << ann;
+  }
+  EXPECT_TRUE(bind_header("sr_port_65535").has_value());
+}
+
+TEST(HeaderBinding, ResolveHeaderReadsTheBoundField) {
+  Ctx c;
+  c.pkt = p4rt::make_tcp(0x0a000001, 0x0a000002, 1234, 80, 100);
+  c.pkt.sr_stack = {9, 4};
+  c.pkt.has_sr = true;
+  c.hop.in_port = 2;
+  c.hop.eg_port = -1;
+  c.hop.switch_tag = 0xabcd;
+  c.hop.last_hop = true;
+  c.hop.wire_bytes = 1500;
+  for (const char* ann :
+       {"in_port", "eg_port", "switch_id", "std.last_hop", "std.packet_length",
+        "ipv4_src", "tcp_is_valid", "tcp_sport", "udp_sport", "l4_dport",
+        "sr_depth", "sr_port_0", "sr_port_1", "sr_port_5"}) {
+    const auto field = bind_header(ann);
+    ASSERT_TRUE(field.has_value()) << ann;
+    const std::uint64_t raw = read_header(*field, c.pkt, c.hop);
+    EXPECT_EQ(c.get(ann, 64).value(), raw) << ann;
+    // Flags are one bit and std.packet_length 32 bits at any width asked.
+    const std::uint64_t narrow =
+        std::string(ann) == "std.packet_length" ? raw : raw & 0xff;
+    EXPECT_EQ(c.get(ann, 8).value(), narrow) << ann;
+  }
+  EXPECT_EQ(read_header(*bind_header("eg_port"), c.pkt, c.hop), 0xffu);
+  EXPECT_EQ(read_header(*bind_header("sr_port_1"), c.pkt, c.hop), 9u);
+}
+
+// A checker whose annotation the data plane lacks fails at deploy, naming
+// the checker and the annotation, and takes no slot or generation.
+TEST(HeaderBinding, DeployRejectsUnknownAnnotation) {
+  const std::string good = "header bit<8> p @\"in_port\";\n"
+                           "tele bit<8> t;\n{ t = p; } { } { }";
+  for (const char* ann : {"bogus", "sr_port_x", "sr_port_99999999999"}) {
+    const std::string bad = "header bit<8> p @\"" + std::string(ann) +
+                            "\";\ntele bit<8> t;\n{ t = p; } { } { }";
+    auto fabric = make_leaf_spine(2, 2, 1);
+    Network net(fabric.topo);
+    const auto checker = std::make_shared<const compiler::CompiledChecker>(
+        compiler::compile_checker(bad, "bad_checker"));
+    for (const bool rolling : {false, true}) {
+      try {
+        if (rolling) {
+          net.deploy_rolling(checker);
+        } else {
+          net.deploy(checker);
+        }
+        FAIL() << ann << " accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("bad_checker"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(ann), std::string::npos) << msg;
+      }
+      EXPECT_EQ(net.deployment_count(), 0);
+      EXPECT_TRUE(net.events().empty());
+    }
+    const int slot =
+        net.deploy(std::make_shared<const compiler::CompiledChecker>(
+            compiler::compile_checker(good, "good_checker")));
+    EXPECT_EQ(slot, 0);
+    EXPECT_EQ(net.deployment_generation(slot), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
