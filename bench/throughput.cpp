@@ -11,9 +11,13 @@
 // instrumentation overhead.
 //
 // --engine selects the execution engine for every simulation (results are
-// identical by contract; wall-clock differs). The fabric section always
-// runs the serial engine once as a wall-clock reference and reports the
-// selected engine's speedup over it.
+// identical by contract; wall-clock differs). The fabric section runs the
+// serial engine as a wall-clock reference and the selected engine in
+// kFabricReps interleaved pairs, and reports min/median/max of each side
+// and of the per-pair speedup. The JSON records the build type, the git
+// revision of the working tree and the hardware threads it ran on.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -202,21 +206,91 @@ void write_result(std::FILE* f, const char* name, const Result& r,
                static_cast<unsigned long long>(r.delivered), r.pps, trailer);
 }
 
-void write_fabric(std::FILE* f, const char* name, const FabricResult& r,
+// Serial-reference / selected-engine pairs the fabric section runs. Each
+// pair runs both engines back to back, so host noise lands on both sides.
+constexpr int kFabricReps = 5;
+
+// min / median / max of repeated wall-clock measurements.
+struct Spread {
+  double min = 0;
+  double median = 0;
+  double max = 0;
+};
+
+Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  const double median =
+      n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  return {v.front(), median, v.back()};
+}
+
+// Repetitions of one engine on the fabric. sent/delivered are the same in
+// every repetition (the simulation is deterministic); only wall time moves.
+struct FabricSeries {
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  std::vector<double> wall_s;
+  std::vector<double> hops_per_wall_s;
+
+  void add(const FabricResult& r) {
+    sent = r.sent;
+    delivered = r.delivered;
+    wall_s.push_back(r.wall_s);
+    hops_per_wall_s.push_back(r.hops_per_wall_s);
+  }
+};
+
+// `git describe` of the working tree the bench runs in (suffixed "-dirty"
+// when it has uncommitted changes), or "unknown" outside a checkout.
+std::string git_revision() {
+  std::string out;
+  std::FILE* p =
+      ::popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r");
+  if (p == nullptr) return "unknown";
+  std::array<char, 128> buf{};
+  while (std::fgets(buf.data(), static_cast<int>(buf.size()), p) != nullptr) {
+    out += buf.data();
+  }
+  ::pclose(p);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
+void write_spread(std::FILE* f, const char* key, const Spread& s,
                   const char* trailer) {
   std::fprintf(f,
-               "    \"%s\": {\"sent\": %llu, \"delivered\": %llu, "
-               "\"wall_s\": %.4f, \"hops_per_wall_s\": %.1f}%s\n",
+               "\"%s\": {\"min\": %.4f, \"median\": %.4f, \"max\": %.4f}%s",
+               key, s.min, s.median, s.max, trailer);
+}
+
+// Per-pair serial/engine wall-time ratios.
+Spread pair_speedups(const FabricSeries& serial, const FabricSeries& engine) {
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < serial.wall_s.size(); ++i) {
+    const double e = engine.wall_s[i];
+    ratios.push_back(e > 0 ? serial.wall_s[i] / e : 0);
+  }
+  return spread(ratios);
+}
+
+void write_fabric(std::FILE* f, const char* name, const FabricSeries& r,
+                  const char* trailer) {
+  std::fprintf(f, "    \"%s\": {\"sent\": %llu, \"delivered\": %llu, ",
                name, static_cast<unsigned long long>(r.sent),
-               static_cast<unsigned long long>(r.delivered), r.wall_s,
-               r.hops_per_wall_s, trailer);
+               static_cast<unsigned long long>(r.delivered));
+  write_spread(f, "wall_s", spread(r.wall_s), ", ");
+  write_spread(f, "hops_per_wall_s", spread(r.hops_per_wall_s), "");
+  std::fprintf(f, "}%s\n", trailer);
 }
 
 void write_json(const std::string& path, const Result& iperf_base,
                 const Result& iperf_hydra, const Result& campus_base,
                 const Result& campus_hydra, double delta_pct,
-                const FabricResult& fabric_serial,
-                const FabricResult& fabric_engine, int workers) {
+                const FabricSeries& fabric_serial,
+                const FabricSeries& fabric_engine, int workers) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -224,9 +298,11 @@ void write_json(const std::string& path, const Result& iperf_base,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"throughput\",\n"
+               "  \"build_type\": \"%s\",\n  \"git_sha\": \"%s\",\n"
                "  \"engine\": \"%s\",\n  \"workers\": %d,\n"
                "  \"hw_threads\": %u,\n  \"degraded_hw\": %s,\n"
                "  \"iperf\": {\n",
+               HYDRA_BUILD_TYPE, git_revision().c_str(),
                net::engine_kind_name(g_kind), workers,
                std::thread::hardware_concurrency(),
                degraded_hw(workers) ? "true" : "false");
@@ -236,13 +312,16 @@ void write_json(const std::string& path, const Result& iperf_base,
                delta_pct);
   write_result(f, "baseline", campus_base, ",");
   write_result(f, "all_checkers", campus_hydra, "");
-  const double speedup = fabric_engine.wall_s > 0
-                             ? fabric_serial.wall_s / fabric_engine.wall_s
-                             : 0;
-  std::fprintf(f, "  },\n  \"fabric_16sw\": {\n");
+  // "speedup" is the median of the per-pair speedups.
+  const Spread speedup = pair_speedups(fabric_serial, fabric_engine);
+  std::fprintf(f, "  },\n  \"fabric_16sw\": {\n    \"repetitions\": %zu,\n",
+               fabric_serial.wall_s.size());
   write_fabric(f, "serial_reference", fabric_serial, ",");
   write_fabric(f, "selected_engine", fabric_engine, ",");
-  std::fprintf(f, "    \"speedup\": %.3f\n  }\n}\n", speedup);
+  std::fprintf(f,
+               "    \"speedup\": %.3f,\n    \"speedup_min\": %.3f,\n"
+               "    \"speedup_max\": %.3f\n  }\n}\n",
+               speedup.median, speedup.min, speedup.max);
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -322,22 +401,32 @@ int main(int argc, char** argv) {
               ch.offered_gbps, ch.delivered_gbps);
 
   // 16-switch fabric under all-pairs-style load: simulator wall-clock
-  // throughput, serial reference vs the selected engine.
+  // throughput, serial reference vs the selected engine, interleaved.
   const double fabric_dur = 0.02;
-  const FabricResult fs =
-      fabric_run(net::EngineKind::kSerial, 0, fabric_dur);
-  const FabricResult fe = g_kind == net::EngineKind::kSerial
-                              ? fs
-                              : fabric_run(g_kind, g_workers, fabric_dur);
-  std::printf("\n16-switch fabric wall-clock (%u hw threads):\n",
-              std::thread::hardware_concurrency());
-  std::printf("  %-18s %12s %14s\n", "engine", "wall_s", "hops/wall-s");
-  std::printf("  %-18s %12.3f %14.0f\n", "serial", fs.wall_s,
-              fs.hops_per_wall_s);
+  FabricSeries fs;
+  FabricSeries fe;
+  for (int rep = 0; rep < kFabricReps; ++rep) {
+    const FabricResult s = fabric_run(net::EngineKind::kSerial, 0, fabric_dur);
+    fs.add(s);
+    fe.add(g_kind == net::EngineKind::kSerial
+               ? s
+               : fabric_run(g_kind, g_workers, fabric_dur));
+  }
+  const Spread fs_wall = spread(fs.wall_s);
+  const Spread fe_wall = spread(fe.wall_s);
+  std::printf("\n16-switch fabric wall-clock (%u hw threads, %d pairs, "
+              "min / median / max):\n",
+              std::thread::hardware_concurrency(), kFabricReps);
+  std::printf("  %-10s %8s %8s %8s %14s\n", "engine", "wall_min", "wall_med",
+              "wall_max", "hops/wall-s");
+  std::printf("  %-10s %8.3f %8.3f %8.3f %14.0f\n", "serial", fs_wall.min,
+              fs_wall.median, fs_wall.max, spread(fs.hops_per_wall_s).median);
   if (g_kind != net::EngineKind::kSerial) {
-    std::printf("  %-18s %12.3f %14.0f  (speedup %.2fx)\n", "selected",
-                fe.wall_s, fe.hops_per_wall_s,
-                fe.wall_s > 0 ? fs.wall_s / fe.wall_s : 0.0);
+    std::printf("  %-10s %8.3f %8.3f %8.3f %14.0f  (median pair speedup "
+                "%.2fx)\n",
+                "selected", fe_wall.min, fe_wall.median, fe_wall.max,
+                spread(fe.hops_per_wall_s).median,
+                pair_speedups(fs, fe).median);
   }
 
   write_json(json_path, b, h, cb, ch, delta, fs, fe, eff_workers);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <string>
+
+#include <sched.h>
 
 namespace hydra::net {
 
@@ -12,10 +15,48 @@ namespace {
 
 constexpr SimTime kInfTime = std::numeric_limits<SimTime>::infinity();
 
-// Spin this many acquire-loads before parking on the futex-backed
-// std::atomic wait. Epochs on a loaded fabric are tens of microseconds
-// apart, so workers usually catch the next publish without a syscall.
-constexpr int kSpinIterations = 4096;
+// Hot handshake budget: how long a pool worker waits for the next publish
+// on epoch_ (and the coordinator for remaining_) with a pause per probe
+// before it parks on the futex. It is sized from the profiler's coordinator
+// gap under parallel:2 on the loaded 16-switch fabric (five checkers, 20
+// Gb/s over all 240 host pairs; 4-vCPU x86 host): a worker's idle time
+// from one slice end to the next slice start (commit, pop and plan) was
+// 6-10 us at the median, 17-45 us at the p99 and 150-340 us at the p99.9.
+// A budget above the p99 keeps a dispatching drain free of futex round
+// trips (a handful of parks per 3,400 epochs), while a serial-degraded
+// stretch (callback, small-window or one-worker windows publish nothing)
+// releases the core after one budget. Once drain() returns, workers park
+// without waiting for the budget.
+constexpr std::chrono::microseconds kHotBudget{200};
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+// Probes `ready` with a pause between probes until it holds or `budget` of
+// wall time has passed; returns whether it held. A zero budget probes once.
+// A `polite` spin also yields the core every 64 probes: the peer it waits
+// for may be queued on this very core (see ParallelEngine::spin_politely),
+// and a pure spin would hold it off for the whole budget.
+template <typename Ready>
+bool spin_until(Ready ready, std::chrono::microseconds budget, bool polite) {
+  if (ready()) return true;
+  if (budget.count() == 0) return false;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + budget;
+  for (unsigned i = 1;; ++i) {
+    cpu_relax();
+    if (ready()) return true;
+    if (i % 64 == 0) {
+      if (Clock::now() >= deadline) return false;
+      if (polite) std::this_thread::yield();
+    }
+  }
+}
 
 }  // namespace
 
@@ -92,10 +133,15 @@ void SerialEngine::drain(EventQueue& q, SimTime limit) {
 // ---------------------------------------------------------------------------
 
 ParallelEngine::ParallelEngine(Network& net, int workers)
-    : ExecutionEngine(net), workers_(workers) {
+    : ExecutionEngine(net),
+      workers_(workers),
+      hot_(workers > 0 && static_cast<unsigned>(workers) <=
+                              std::thread::hardware_concurrency()),
+      cpu_(static_cast<std::size_t>(workers > 0 ? workers : 0)) {
   if (workers_ < 1) {
     throw std::invalid_argument("parallel engine needs >= 1 worker");
   }
+  for (auto& cpu : cpu_) cpu.store(-1, std::memory_order_relaxed);
   errors_.assign(static_cast<std::size_t>(workers_), nullptr);
   slice_begin_.assign(static_cast<std::size_t>(workers_) + 1, 0);
   threads_.reserve(static_cast<std::size_t>(workers_ - 1));
@@ -112,14 +158,26 @@ ParallelEngine::~ParallelEngine() {
 }
 
 void ParallelEngine::worker_main(int worker) {
+  const std::chrono::microseconds budget =
+      hot_ ? kHotBudget : std::chrono::microseconds{0};
   std::uint64_t seen = 0;
   for (;;) {
-    std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    for (int spin = 0; e == seen && spin < kSpinIterations; ++spin) {
-      e = epoch_.load(std::memory_order_acquire);
-    }
+    // Hot while a drain is active: catch the next publish without a
+    // syscall. Park once drain() returns or the budget runs out.
+    std::uint64_t e = seen;
+    spin_until(
+        [&] {
+          e = epoch_.load(std::memory_order_acquire);
+          return e != seen || !draining_.load(std::memory_order_relaxed);
+        },
+        budget, hot_ && spin_politely(worker, false));
     while (e == seen) {
-      epoch_.wait(seen, std::memory_order_acquire);
+      // seq_cst pairs with publish(): either it sees this worker parked
+      // and notifies, or the wait's own load sees its epoch bump.
+      parks_.fetch_add(1, std::memory_order_relaxed);
+      parked_.fetch_add(1, std::memory_order_seq_cst);
+      epoch_.wait(seen, std::memory_order_seq_cst);
+      parked_.fetch_sub(1, std::memory_order_relaxed);
       e = epoch_.load(std::memory_order_acquire);
     }
     seen = e;
@@ -131,9 +189,65 @@ void ParallelEngine::worker_main(int worker) {
   }
 }
 
+bool ParallelEngine::publish() {
+  remaining_.store(workers_ - 1, std::memory_order_relaxed);
+  if (prof_ != nullptr) publish_us_ = prof_->now_us();
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) == 0) return false;
+  epoch_.notify_all();
+  return true;
+}
+
+bool ParallelEngine::spin_politely(int self, bool woke_peer) {
+  // The scheduler tends to place a thread woken from the futex on its
+  // waker's core, and keeps two threads that hand work back and forth
+  // there; the thread that spins would then hold its peer off until the
+  // budget runs out. Each pool thread records its core when it starts a
+  // wait; a match with another thread's record, or a wake it just sent
+  // (the wakee has not run to record its new core), makes the spin yield.
+  const int cpu = ::sched_getcpu();
+  cpu_[static_cast<std::size_t>(self)].store(cpu, std::memory_order_relaxed);
+  if (woke_peer) return true;
+  for (int i = 0; i < workers_; ++i) {
+    if (i != self &&
+        cpu_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed) ==
+            cpu) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ParallelEngine::await_workers(bool woke_pool) {
+  int r = 0;
+  spin_until(
+      [&] {
+        r = remaining_.load(std::memory_order_acquire);
+        return r == 0;
+      },
+      hot_ ? kHotBudget : std::chrono::microseconds{0},
+      hot_ && spin_politely(0, woke_pool));
+  while (r != 0) {
+    remaining_.wait(r, std::memory_order_acquire);
+    r = remaining_.load(std::memory_order_acquire);
+  }
+}
+
+void ParallelEngine::park_pool() {
+  draining_.store(false, std::memory_order_relaxed);
+  // Every epoch has finished, so each worker is spinning towards its park
+  // or already parked; none runs for more than a few probes.
+  while (parked_.load(std::memory_order_acquire) != workers_ - 1) {
+    std::this_thread::yield();
+  }
+  const std::uint64_t parks = parks_.exchange(0, std::memory_order_relaxed);
+  if (prof_ != nullptr) prof_->worker_parks(parks);
+}
+
 void ParallelEngine::compute_slice(int worker) {
   try {
     const double t0 = prof_ != nullptr ? prof_->now_us() : 0.0;
+    if (prof_ != nullptr && worker != 0) prof_->wake(worker, publish_us_, t0);
     ExecContext& ctx = net_->context(worker);
     const std::uint32_t begin = slice_begin_[static_cast<std::size_t>(worker)];
     const std::uint32_t end =
@@ -297,19 +411,10 @@ void ParallelEngine::run_window(EventQueue& q) {
     // COMPUTE: publish the window, wake the pool, take slice 0 ourselves.
     results_.resize(window_.size());
     std::fill(errors_.begin(), errors_.end(), nullptr);
-    remaining_.store(workers_ - 1, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
+    const bool woke_pool = publish();
     compute_slice(0);
     const double b0 = prof_ != nullptr ? prof_->now_us() : 0.0;
-    int r = remaining_.load(std::memory_order_acquire);
-    for (int spin = 0; r != 0 && spin < kSpinIterations; ++spin) {
-      r = remaining_.load(std::memory_order_acquire);
-    }
-    while (r != 0) {
-      remaining_.wait(r, std::memory_order_acquire);
-      r = remaining_.load(std::memory_order_acquire);
-    }
+    await_workers(woke_pool);
     if (prof_ != nullptr) prof_->barrier(b0, prof_->now_us());
     for (const auto& err : errors_) {
       if (err) std::rethrow_exception(err);
@@ -347,6 +452,13 @@ void ParallelEngine::drain(EventQueue& q, SimTime limit) {
   // on fault-free runs. arm/disarm require an idle queue, so this cannot
   // change mid-drain.
   extension_allowed_ = !net_->faults_armed();
+  // Workers stay hot for the length of this drain and are parked again when
+  // it returns, by any path: an idle network costs no CPU.
+  struct PoolGuard {
+    ParallelEngine* engine;
+    ~PoolGuard() { engine->park_pool(); }
+  } guard{this};
+  draining_.store(true, std::memory_order_relaxed);
   while (q.has_ready(limit)) {
     const SimTime t0 = q.next_time();
     // Fire every export tick due at or before the queue head: all earlier

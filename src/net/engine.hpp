@@ -28,10 +28,23 @@
 //   3. COMPUTE  workers execute their slices concurrently against their
 //               own ExecContexts; all effects land in per-item
 //               HopResults. The epoch handshake is two atomic words
-//               (publish: epoch counter release-increment + notify;
-//               finish: remaining-counter release-decrement), with a
-//               short spin before parking — no mutex or condvar on the
-//               per-epoch path.
+//               (publish: epoch counter increment; finish: remaining-
+//               counter release-decrement) and stays hot for the length of
+//               a drain: between epochs, workers spin on the epoch counter
+//               with a pause instruction, and the coordinator spins on the
+//               remaining counter the same way. A thread parks on the
+//               futex only when drain() returns, or after a fixed wall-
+//               time budget with nothing to wait for (serial-degraded
+//               stretches publish nothing, so they release the core after
+//               one budget). A publish notifies only when a worker is
+//               parked, so a dispatching drain makes no syscall per epoch,
+//               and drain() parks the pool before it returns, so an idle
+//               engine costs no CPU. A spinner yields its core every few
+//               microseconds while it shares one with another pool thread
+//               or has just woken one: the scheduler tends to queue a
+//               woken thread on its waker's core, where a pure spin would
+//               hold it off for the whole budget. With more workers than
+//               hardware threads nobody spins: every wait parks at once.
 //   4. COMMIT   the main thread walks the window in (t, seq) order,
 //               merging in any events the commits themselves spawn inside
 //               the window, advancing the clock and applying HopResults /
@@ -114,6 +127,12 @@ class ParallelEngine final : public ExecutionEngine {
   int workers() const override { return workers_; }
   void drain(EventQueue& q, SimTime limit) override;
 
+  // Pool workers parked on the futex: workers() - 1 after every drain,
+  // which parks the pool before it returns. New workers park on their own.
+  int parked_workers() const {
+    return parked_.load(std::memory_order_acquire);
+  }
+
   // Fewest switch-work items in a window worth waking the pool for;
   // smaller windows are computed inline (identical results either way).
   static constexpr std::size_t kDispatchThreshold = 2;
@@ -128,6 +147,15 @@ class ParallelEngine final : public ExecutionEngine {
   static constexpr std::uint32_t kNoShard = ~0u;
 
   void worker_main(int worker);
+  // The epoch handshake (COMPUTE above): publish the window to the pool
+  // (returns whether it had to wake a parked worker), wait for every
+  // worker's slice, and park the pool when a drain ends.
+  bool publish();
+  void await_workers(bool woke_pool);
+  void park_pool();
+  // Whether pool thread `self` (0 = the coordinator) should yield while it
+  // spins: it shares a core with another pool thread, or just woke one.
+  bool spin_politely(int self, bool woke_peer);
   // Computes every switch-work item in `worker`'s pre-bucketed slice.
   void compute_slice(int worker);
   void run_window(EventQueue& q);
@@ -143,6 +171,9 @@ class ParallelEngine final : public ExecutionEngine {
   void bucket_slices();
 
   const int workers_;
+  // Whether waits spin before parking: only while every worker and the
+  // coordinator can have a hardware thread of their own.
+  const bool hot_;
 
   // Per-drain cached model constants.
   SimTime lookahead_ = 0.0;
@@ -174,14 +205,26 @@ class ParallelEngine final : public ExecutionEngine {
 
   // ---- epoch handshake ---------------------------------------------------
   // Main publishes window_/results_/slices (plain writes), then bumps
-  // epoch_ with release; workers acquire it (spin, then futex-park via
+  // epoch_; workers acquire it (spinning while draining_, else parked via
   // std::atomic::wait) and see everything published before it. Each worker
   // finishes with a release decrement of remaining_; the main thread's
   // acquire of remaining_ == 0 sees every result. stop_ rides the same
-  // epoch bump.
+  // epoch bump. parked_ counts workers committed to the futex: the publish
+  // skips its notify while it is zero (the seq_cst pair in publish() and
+  // worker_main() makes that safe), and park_pool() waits for it to reach
+  // workers_ - 1 before drain() returns. parks_ counts futex parks for the
+  // profiler's engine.worker_parks.
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<int> remaining_{0};
   std::atomic<bool> stop_{false};
+  std::atomic<bool> draining_{false};
+  std::atomic<int> parked_{0};
+  std::atomic<std::uint64_t> parks_{0};
+  // The core each pool thread (0 = coordinator) last started a wait on.
+  std::vector<std::atomic<int>> cpu_;
+  // Profiler timestamp of the last publish, for engine.phase.wake_us;
+  // written before the epoch bump, read by workers after it.
+  double publish_us_ = 0.0;
   std::vector<std::thread> threads_;  // workers 1..workers_-1
 };
 

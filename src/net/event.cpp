@@ -1,5 +1,6 @@
 #include "net/event.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -15,92 +16,91 @@ void check_not_past(SimTime t, SimTime now) {
 }
 }  // namespace
 
-void EventQueue::schedule_at(SimTime t, std::function<void()> fn) {
+EventQueue::Item& EventQueue::park(Heap& heap, SimTime t, EventKind kind) {
   check_not_past(t, now_);
-  Item item;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  heap.push_back(Key{t, seq, slot});
+  std::push_heap(heap.begin(), heap.end(), Later{});
+  // A reused slot holds a moved-from Item: reset every field.
+  Item& item = slots_[slot];
   item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kClosure;
-  item.fn = std::move(fn);
-  cl_heap_.push(std::move(item));
+  item.seq = seq;
+  item.kind = kind;
+  item.fn = nullptr;
+  item.tick = nullptr;
+  item.work = SwitchWork{};
+  return item;
+}
+
+EventQueue::Item& EventQueue::unpark(Heap& heap) {
+  std::pop_heap(heap.begin(), heap.end(), Later{});
+  const std::uint32_t slot = heap.back().slot;
+  heap.pop_back();
+  free_slots_.push_back(slot);
+  return slots_[slot];
+}
+
+void EventQueue::schedule_at(SimTime t, std::function<void()> fn) {
+  park(cl_heap_, t, EventKind::kClosure).fn = std::move(fn);
 }
 
 void EventQueue::schedule_tick_at(SimTime t, TickTarget* target) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kTick;
-  item.tick = target;
-  cl_heap_.push(std::move(item));
+  park(cl_heap_, t, EventKind::kTick).tick = target;
 }
 
 void EventQueue::schedule_packet_at(SimTime t, int dest, int dest_port,
                                     PacketHandle pkt) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kPacketSend;
+  Item& item = park(cl_heap_, t, EventKind::kPacketSend);
   item.work.sw = dest;
   item.work.in_port = dest_port;
   item.work.pkt = pkt;
-  cl_heap_.push(std::move(item));
 }
 
 void EventQueue::schedule_switch_at(SimTime t, int sw, int in_port,
                                     PacketHandle pkt) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kSwitchWork;
+  Item& item = park(sw_heap_, t, EventKind::kSwitchWork);
   item.work.sw = sw;
   item.work.in_port = in_port;
   item.work.pkt = pkt;
-  sw_heap_.push(std::move(item));
 }
 
 void EventQueue::schedule_control_at(SimTime t, int sw, ControlHandle op) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kSwitchWork;
+  Item& item = park(sw_heap_, t, EventKind::kSwitchWork);
   item.work.sw = sw;
   item.work.ctl = op;
-  sw_heap_.push(std::move(item));
 }
 
 SimTime EventQueue::next_time() const {
-  return switch_heap_first() ? sw_heap_.top().t : cl_heap_.top().t;
+  return switch_heap_first() ? sw_heap_.front().t : cl_heap_.front().t;
 }
 
 SimTime EventQueue::next_closure_time() const {
-  return cl_heap_.empty() ? kInf : cl_heap_.top().t;
+  return cl_heap_.empty() ? kInf : cl_heap_.front().t;
 }
 
 SimTime EventQueue::next_switch_time() const {
-  return sw_heap_.empty() ? kInf : sw_heap_.top().t;
+  return sw_heap_.empty() ? kInf : sw_heap_.front().t;
 }
 
 bool EventQueue::switch_heap_first() const {
   if (sw_heap_.empty()) return false;
   if (cl_heap_.empty()) return true;
-  const Item& s = sw_heap_.top();
-  const Item& c = cl_heap_.top();
+  const Key& s = sw_heap_.front();
+  const Key& c = cl_heap_.front();
   return s.t < c.t || (s.t == c.t && s.seq < c.seq);
 }
 
-EventQueue::Item EventQueue::pop_heap_top(Heap& heap) {
-  // Move out before pop so handlers may schedule more events.
-  Item item = std::move(const_cast<Item&>(heap.top()));
-  heap.pop();
-  return item;
-}
-
 EventQueue::Item EventQueue::pop_next() {
-  return pop_heap_top(switch_heap_first() ? sw_heap_ : cl_heap_);
+  // Moved out before returning, so handlers may schedule more events.
+  return std::move(unpark(next_heap()));
 }
 
 void EventQueue::pop_window(SimTime limit, SimTime window_end,
@@ -108,9 +108,10 @@ void EventQueue::pop_window(SimTime limit, SimTime window_end,
   if (empty()) return;
   const SimTime t0 = next_time();
   while (!empty()) {
-    const SimTime t = next_time();
+    Heap& heap = next_heap();
+    const SimTime t = heap.front().t;
     if (t > limit || (t != t0 && t >= window_end)) break;
-    out.push_back(pop_next());
+    out.push_back(std::move(unpark(heap)));
   }
 }
 

@@ -21,8 +21,14 @@
 // Network (which owns the arenas) and its engines do. kClosure, kTick and
 // kPacketSend live in the closure heap; kSwitchWork in the switch heap;
 // both heaps share one seq stream so merging the tops by (time, seq)
-// reproduces the exact one-heap pop order (the PR-6 invariant the
-// parallel engine's commit order is built on).
+// reproduces the exact one-heap pop order (the invariant the parallel
+// engine's commit order is built on).
+//
+// Heap layout: the two heaps hold 24-byte POD keys {t, seq, slot}, not
+// Items. Each Item is parked in one slot store shared by both heaps (a
+// vector with a LIFO free list), so a push or pop moves the 80-byte Item,
+// std::function and all, exactly once; the O(log n) sift only moves keys.
+// The slot store keeps its high-water capacity, like the heaps it replaced.
 //
 // Draining is delegated to an EventExecutor (see net/engine.hpp) when one
 // is installed; net::Network installs a SerialEngine by default. A bare
@@ -32,7 +38,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -198,18 +203,33 @@ class EventQueue {
   void advance_now(SimTime t) { now_ = t; }
 
  private:
+  // A heap entry: the (t, seq) order key plus the index of the slot that
+  // parks its Item (see "Heap layout" above).
+  struct Key {
+    SimTime t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Key) == 24, "heap keys stay 24-byte PODs");
   struct Later {
-    bool operator()(const Item& a, const Item& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;
     }
   };
-  using Heap = std::priority_queue<Item, std::vector<Item>, Later>;
+  using Heap = std::vector<Key>;  // binary min-heap under Later
 
   void run_self(SimTime t);  // executor-free drain (standalone queues)
   // True when the next merged (t, seq) pop comes from the switch heap.
   bool switch_heap_first() const;
-  static Item pop_heap_top(Heap& heap);
+  Heap& next_heap() { return switch_heap_first() ? sw_heap_ : cl_heap_; }
+  // Allocates a slot for an event at `t` of `kind`, pushes its key onto
+  // `heap` and returns the slot's Item with t, seq and kind set and every
+  // payload field cleared.
+  Item& park(Heap& heap, SimTime t, EventKind kind);
+  // Pops `heap`'s top key and frees its slot. The Item stays in the slot
+  // until the next park(), so the caller moves it out first.
+  Item& unpark(Heap& heap);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -218,6 +238,10 @@ class EventQueue {
   // kClosure + kTick + kPacketSend; switch heap: kSwitchWork.
   Heap cl_heap_;
   Heap sw_heap_;
+  // The slot store both heaps index into, and its free list (LIFO, so a
+  // pop-then-push reuses the slot just freed).
+  std::vector<Item> slots_;
+  std::vector<std::uint32_t> free_slots_;
   EventExecutor* executor_ = nullptr;
 };
 

@@ -198,6 +198,7 @@ class Network {
   void set_engine(EngineKind kind, int workers = 0);
   EngineKind engine_kind() const { return engine_kind_; }
   int engine_workers() const { return engine_workers_; }
+  const ExecutionEngine& engine() const { return *engine_; }
 
   // ---- forwarding -------------------------------------------------------
   void set_program(int switch_id, std::shared_ptr<ForwardingProgram> prog);

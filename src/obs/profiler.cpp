@@ -39,6 +39,7 @@ void EngineProfiler::configure(int workers) {
   tracks_.assign(static_cast<std::size_t>(workers_) + 1, {});
   dropped_.assign(tracks_.size(), 0);
   compute_us_.assign(static_cast<std::size_t>(workers_), Histogram{});
+  wake_us_.assign(static_cast<std::size_t>(workers_), Histogram{});
 }
 
 double EngineProfiler::now_us() const {
@@ -62,6 +63,7 @@ void EngineProfiler::attach_main(Registry& reg) {
   epochs_callbacks_ = reg.counter("engine.epochs.callbacks");
   epochs_one_worker_ = reg.counter("engine.epochs.one_worker");
   epochs_small_window_ = reg.counter("engine.epochs.small_window");
+  worker_parks_ = reg.counter("engine.worker_parks");
 }
 
 void EngineProfiler::attach_worker(int shard, Registry& reg) {
@@ -69,6 +71,8 @@ void EngineProfiler::attach_worker(int shard, Registry& reg) {
     // Same name on every shard: absorbed into one aggregate at barriers.
     compute_us_[static_cast<std::size_t>(shard)] =
         reg.histogram("engine.phase.compute_us", phase_bounds());
+    wake_us_[static_cast<std::size_t>(shard)] =
+        reg.histogram("engine.phase.wake_us", phase_bounds());
   }
 }
 
@@ -85,7 +89,9 @@ void EngineProfiler::detach() {
   epochs_callbacks_ = {};
   epochs_one_worker_ = {};
   epochs_small_window_ = {};
+  worker_parks_ = {};
   for (auto& h : compute_us_) h = {};
+  for (auto& h : wake_us_) h = {};
 }
 
 void EngineProfiler::push(int track, const Span& span) {
@@ -158,6 +164,14 @@ void EngineProfiler::compute(int shard, double t0_us, double t1_us,
   s.vals[0] = static_cast<double>(items);
   push(shard + 1, s);
 }
+
+void EngineProfiler::wake(int shard, double publish_us, double start_us) {
+  if (shard >= 0 && static_cast<std::size_t>(shard) < wake_us_.size()) {
+    wake_us_[static_cast<std::size_t>(shard)].observe(start_us - publish_us);
+  }
+}
+
+void EngineProfiler::worker_parks(std::uint64_t n) { worker_parks_.inc(n); }
 
 void EngineProfiler::commit(double t0_us, double t1_us) {
   commit_us_.observe(t1_us - t0_us);

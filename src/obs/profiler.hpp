@@ -15,7 +15,10 @@
 // bucket histograms in the metrics registry ("engine.phase.*_us",
 // "engine.epoch.*"); worker-shard histograms are attached to the shard's
 // shadow registry and folded into the main one by Registry::absorb_counters
-// at epoch barriers, exactly like hot-path counters.
+// at epoch barriers, exactly like hot-path counters. The parallel engine's
+// epoch handshake shows up as "engine.phase.wake_us" (publish to a pool
+// worker's slice start) and "engine.worker_parks" (futex parks by pool
+// workers, added when a drain ends).
 //
 // Disabled discipline: engines hold a raw EngineProfiler pointer that is
 // null unless profiling is armed — the entire disabled cost is one branch
@@ -67,6 +70,11 @@ class EngineProfiler {
              std::size_t switch_items, const char* mode,
              std::size_t lookahead_mult = 1);
   void compute(int shard, double t0_us, double t1_us, std::size_t items);
+  // Pool worker `shard` started its slice at `start_us` for a window the
+  // coordinator published at `publish_us` ("engine.phase.wake_us").
+  void wake(int shard, double publish_us, double start_us);
+  // Pool workers parked on the futex `n` times ("engine.worker_parks").
+  void worker_parks(std::uint64_t n);
   void commit(double t0_us, double t1_us);
   void barrier(double t0_us, double t1_us);
   // SerialEngine: one span per switch-work event.
@@ -115,7 +123,9 @@ class EngineProfiler {
   Counter epochs_callbacks_;
   Counter epochs_one_worker_;
   Counter epochs_small_window_;
+  Counter worker_parks_;
   std::vector<Histogram> compute_us_;  // per shard, shadow-registry backed
+  std::vector<Histogram> wake_us_;     // same; shard 0 (main) never wakes
 };
 
 }  // namespace hydra::obs

@@ -658,6 +658,84 @@ TEST(EngineDifferential, EngineSwapBetweenRuns) {
   expect_identical(serial, swapped, "mid-run engine swap");
 }
 
+// Pool workers parked on the futex, or -1 on the serial engine.
+int parked_workers(const net::Network& net) {
+  const auto* par = dynamic_cast<const net::ParallelEngine*>(&net.engine());
+  return par != nullptr ? par->parked_workers() : -1;
+}
+
+// The hot handshake's park/unpark edges under stress: many short drains
+// that alternate dispatched windows with callback- and control-loop-
+// degraded ones (workers hot, then parked mid-drain or at drain end), and
+// the pool destroyed and rebuilt while parked, at a worker count that fits
+// the host and at parallel:8. After every drain the pool must be parked by
+// the engine's own count, and the run must equal serial.
+TEST(EngineDifferential, ParkUnparkStressShortDrains) {
+  const auto scenario = [](net::EngineKind kind, int workers) {
+    auto fabric = net::make_leaf_spine(4, 4, 2);
+    net::Network net(fabric.topo);
+    net.set_engine(kind, workers);
+    auto routing = fwd::install_leaf_spine_routing(net, fabric);
+    net.set_observability(true);
+    // No allow-list installed: the firewall reports every flow's packets.
+    net.deploy(compile_library_checker("stateful_firewall"));
+    const int ud = net.deploy(compile_library_checker("up_down_routing"));
+    configure_up_down(net, ud, fabric);
+
+    net::UdpFlood f1(net, fabric.hosts[0][0], fabric.hosts[3][1], 2.0, 600);
+    f1.set_poisson(31);
+    net::UdpFlood f2(net, fabric.hosts[1][1], fabric.hosts[2][0], 2.0, 600);
+    f2.set_poisson(37);
+    net::UdpFlood f3(net, fabric.hosts[2][1], fabric.hosts[0][1], 1.0, 300);
+    f3.set_poisson(43);
+    f1.start(0.0, 1.2e-3);
+    f2.start(0.0, 1.2e-3);
+    f3.start(0.0, 1.2e-3);
+
+    std::uint64_t callback_reports = 0;
+    const int steps = 240;
+    for (int step = 1; step <= steps; ++step) {
+      const bool control_loop = step % 3 == 0;
+      const bool callback = step % 5 == 0;
+      net.set_control_loop_active(control_loop);
+      if (callback) {
+        net.subscribe_reports(
+            [&callback_reports](const net::ReportRecord&) {
+              ++callback_reports;
+            });
+      }
+      net.events().run_until(5e-6 * step);
+      net.clear_report_subscribers();
+      net.set_control_loop_active(false);
+      if (kind == net::EngineKind::kParallel) {
+        EXPECT_EQ(parked_workers(net), workers - 1) << "after drain " << step;
+      }
+      // Tear the parked pool down and rebuild it, or swap engines, between
+      // drains.
+      if (kind == net::EngineKind::kParallel && step % 40 == 0) {
+        net.set_engine(step % 80 == 0 ? net::EngineKind::kSerial
+                                      : net::EngineKind::kParallel,
+                       workers);
+        net.set_engine(net::EngineKind::kParallel, workers);
+      }
+    }
+    net.events().run();
+    Snapshot s = snapshot(net);
+    s.counters += " callback_reports=" + std::to_string(callback_reports);
+    return s;
+  };
+  const Snapshot serial = scenario(net::EngineKind::kSerial, 0);
+  ASSERT_NE(serial.reports, "") << serial.counters;
+  // parallel:2 spins between epochs on any multi-core host; parallel:8
+  // exceeds the hardware threads of small hosts, where every wait parks.
+  for (const int workers : {2, 8}) {
+    const Snapshot par = scenario(net::EngineKind::kParallel, workers);
+    expect_identical(serial, par,
+                     "parallel:" + std::to_string(workers) +
+                         " short drains vs serial");
+  }
+}
+
 TEST(EngineSpec, ParseAndName) {
   int workers = -1;
   EXPECT_EQ(net::parse_engine_kind("serial", &workers),
@@ -678,8 +756,9 @@ TEST(EngineSpec, ParseAndName) {
 
 // Under sustained load the profiler must span every engine phase —
 // pop_window, epoch, compute, commit, barrier — with dispatched-parallel
-// epochs present, and the per-mode epoch counters plus the lookahead-
-// multiplier histogram must surface in the metrics snapshot.
+// epochs present, and the per-mode epoch counters, the lookahead-
+// multiplier histogram and the handshake's wake latency and park count
+// must surface in the metrics snapshot.
 TEST(EngineProfiler, CoversEveryPhaseOnLoadedFabric) {
   auto fabric = net::make_leaf_spine(4, 4, 2);
   net::Network net(fabric.topo);
@@ -710,7 +789,8 @@ TEST(EngineProfiler, CoversEveryPhaseOnLoadedFabric) {
   const std::string metrics = net.metrics_json();
   for (const char* name :
        {"engine.epochs.parallel", "engine.epochs.callbacks", "engine.epochs.one_worker",
-        "engine.epochs.small_window", "engine.epoch.lookahead_mult"}) {
+        "engine.epochs.small_window", "engine.epoch.lookahead_mult",
+        "engine.phase.wake_us", "engine.worker_parks"}) {
     EXPECT_NE(metrics.find(name), std::string::npos) << name;
   }
 }
