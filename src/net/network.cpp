@@ -804,9 +804,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
                              p4rt::ExecOutcome& out) {
     for (auto& r : out.reports) {
       ReportRecord rec{static_cast<int>(di), d.checker->name, sw, t,
-                       std::move(r)};
-      rec.flow = p4rt::flow_of(pkt);
-      rec.hop_count = pkt.hops;
+                       std::move(r), p4rt::flow_of(pkt), pkt.hops};
       res.reports.push_back(std::move(rec));
     }
   };
@@ -1391,6 +1389,7 @@ void Network::set_forensics(bool enabled, std::size_t ring_capacity) {
     obs_->recorder.reset();
     obs_->violations.clear();
     obs_->violations_seen = 0;
+    obs_->frozen_violations.reset();
     rewire_observability();  // disarms executor provenance capture
     return;
   }
@@ -1420,6 +1419,7 @@ void Network::clear_violation_reports() {
   if (obs_ == nullptr) return;
   obs_->violations.clear();
   obs_->violations_seen = 0;
+  obs_->frozen_violations.reset();
 }
 
 // ---- engine phase profiling -----------------------------------------------
@@ -1501,9 +1501,7 @@ void Network::set_export_callback(obs::ExportScheduler::TickCallback cb) {
 
 std::string Network::export_prometheus() {
   collect_metrics();  // throws while observability is off; absorbs shards
-  std::vector<obs::PromFamily> extra;
-  if (obs_->live != nullptr) obs_->live->topk->prom_families(extra);
-  return obs::to_prometheus(obs_->registry, extra);
+  return obs::render_metrics(freeze_tick());
 }
 
 std::string Network::window_series_json() const {
@@ -1585,20 +1583,8 @@ void Network::update_live_after_tick() {
             "hydra_health_cold_suppression_rate", {})
       .set(live.health.cold_suppression_rate);
   if (live.publisher == nullptr) return;
-
-  obs::LiveSnapshot snap;
-  snap.tick_index = sched.captured();
-  snap.sim_time = events_.now();
   collect_metrics();
-  std::vector<obs::PromFamily> extra;
-  live.topk->prom_families(extra);
-  snap.metrics_text = obs::to_prometheus(reg, extra);
-  snap.series_json = sched.series_json();
-  snap.health_json = live.health.to_json();
-  snap.violations_json = violation_reports_json();
-  snap.topk_json = live.topk->to_json();
-  snap.snapshot_text = obs_snapshot();
-  live.publisher->publish(std::move(snap));
+  live.publisher->publish(freeze_tick());
 }
 
 // ---- obs snapshot/restore -------------------------------------------------
@@ -1607,10 +1593,7 @@ std::string Network::obs_snapshot() {
   if (obs_ == nullptr) {
     throw std::logic_error("obs_snapshot: observability is off");
   }
-  std::string out = "hydra-obs-snapshot v1\n";
-  append_obs_body(out);
-  out += "end\n";
-  return out;
+  return obs::render_snapshot(freeze_tick());
 }
 
 namespace {
@@ -1774,52 +1757,35 @@ std::string Network::full_snapshot() {
              " " + std::to_string(p.tele_runs) + "\n";
     }
   }
-  append_obs_body(out);
+  obs::append_obs_body(out, freeze_tick());
   out += "end\n";
   return out;
 }
 
-void Network::append_obs_body(std::string& out) {
-  using obs::detail::format_double;
+obs::RawTick Network::freeze_tick() {
   absorb_shard_metrics();
-  out += "sim injected " + std::to_string(counters_.injected) + "\n";
-  out += "sim delivered " + std::to_string(counters_.delivered) + "\n";
-  out += "sim rejected " + std::to_string(counters_.rejected) + "\n";
-  out += "sim fwd_dropped " + std::to_string(counters_.fwd_dropped) + "\n";
-  out += "sim queue_dropped " + std::to_string(counters_.queue_dropped) + "\n";
-  out += "sim fault_dropped " + std::to_string(counters_.fault_dropped) + "\n";
-  out += obs_->registry.snapshot_text();
+  obs::RawTick t;
+  t.sim_time = events_.now();
+  t.sim = {counters_.injected,      counters_.delivered,
+           counters_.rejected,      counters_.fwd_dropped,
+           counters_.queue_dropped, counters_.fault_dropped};
+  t.registry = obs_->registry.freeze();
   if (obs_->exporter != nullptr) {
-    const obs::ExportScheduler& sched = *obs_->exporter;
-    out += "series " + std::to_string(sched.captured()) + "\n";
-    for (const obs::WindowSample& w : sched.windows()) {
-      const obs::ExportCumulative& d = w.delta;
-      out += "window " + std::to_string(w.index) + " " +
-             format_double(w.t0) + " " + format_double(w.t1) + " " +
-             std::to_string(d.injected) + " " + std::to_string(d.delivered) +
-             " " + std::to_string(d.rejected) + " " +
-             std::to_string(d.fwd_dropped) + " " +
-             std::to_string(d.queue_dropped) + " " +
-             std::to_string(d.fault_dropped) + " " +
-             std::to_string(d.reports) + " " +
-             std::to_string(d.decode_rejects) + " " +
-             std::to_string(d.cold_suppressed) + " " + format_double(w.pps) +
-             " " + format_double(w.rejects_per_s) + "\n";
-      out += "wlat " + std::to_string(d.latency_count) + " " +
-             format_double(d.latency_sum) + " " + format_double(w.latency_p50) +
-             " " + format_double(w.latency_p90) + " " +
-             format_double(w.latency_p99) + " " +
-             std::to_string(d.latency_buckets.size());
-      for (std::uint64_t b : d.latency_buckets) out += " " + std::to_string(b);
-      out += "\n";
-      for (const auto& p : d.properties) {
-        out += "wprop " + p.name + " " + std::to_string(p.rejects) + " " +
-               std::to_string(p.reports) + " " + std::to_string(p.check_runs) +
-               " " + std::to_string(p.tele_runs) + "\n";
-      }
-    }
+    t.tick_index = obs_->exporter->captured();
+    t.series = obs_->exporter->freeze();
   }
-  if (obs_->live != nullptr) out += obs_->live->topk->snapshot_text();
+  if (obs_->live != nullptr) {
+    t.topk = obs_->live->topk->freeze();
+    t.health = obs_->live->health;
+  }
+  if (obs_->frozen_violations == nullptr ||
+      obs_->frozen_violations->size() != obs_->violations.size()) {
+    obs_->frozen_violations =
+        std::make_shared<const std::vector<obs::ViolationReport>>(
+            obs_->violations);
+  }
+  t.violations = obs_->frozen_violations;
+  return t;
 }
 
 namespace {
@@ -2481,40 +2447,59 @@ void Network::collect_metrics() {
         .set(static_cast<double>(fs.delayed_pushes));
   }
 
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    const LinkSpec& spec = links_[li].spec();
-    for (int dir = 0; dir < 2; ++dir) {
-      const PortRef from = dir == 0 ? spec.a : spec.b;
-      const PortRef to = dir == 0 ? spec.b : spec.a;
-      const std::string dir_name = topo_.node(from.node).name + ":" +
-                                   std::to_string(from.port) + "->" +
-                                   topo_.node(to.node).name + ":" +
-                                   std::to_string(to.port);
-      const std::string base = "net.link." + dir_name;
-      const std::vector<obs::Label> by_link{{"link", dir_name}};
-      const Link::DirStats& s = links_[li].stats(dir);
-      reg.gauge(base + ".packets", "hydra_link_packets", by_link)
-          .set(static_cast<double>(s.packets));
-      reg.gauge(base + ".bytes", "hydra_link_bytes", by_link)
-          .set(static_cast<double>(s.bytes));
-      reg.gauge(base + ".drops", "hydra_link_drops", by_link)
-          .set(static_cast<double>(s.drops));
-      reg.gauge(base + ".utilization", "hydra_link_utilization", by_link)
-          .set(links_[li].utilization(dir, now));
+  if (obs_->link_gauges.size() != 2 * links_.size()) {
+    obs_->link_gauges.clear();
+    for (std::size_t li = 0; li < links_.size(); ++li) {
+      const LinkSpec& spec = links_[li].spec();
+      for (int dir = 0; dir < 2; ++dir) {
+        const PortRef from = dir == 0 ? spec.a : spec.b;
+        const PortRef to = dir == 0 ? spec.b : spec.a;
+        const std::string dir_name = topo_.node(from.node).name + ":" +
+                                     std::to_string(from.port) + "->" +
+                                     topo_.node(to.node).name + ":" +
+                                     std::to_string(to.port);
+        const std::string base = "net.link." + dir_name;
+        const std::vector<obs::Label> by_link{{"link", dir_name}};
+        obs_->link_gauges.push_back(
+            {reg.gauge(base + ".packets", "hydra_link_packets", by_link),
+             reg.gauge(base + ".bytes", "hydra_link_bytes", by_link),
+             reg.gauge(base + ".drops", "hydra_link_drops", by_link),
+             reg.gauge(base + ".utilization", "hydra_link_utilization",
+                       by_link)});
+      }
     }
   }
+  for (std::size_t k = 0; k < obs_->link_gauges.size(); ++k) {
+    const ObsState::LinkGauges& g = obs_->link_gauges[k];
+    const Link& link = links_[k / 2];
+    const int dir = static_cast<int>(k % 2);
+    const Link::DirStats& s = link.stats(dir);
+    g.packets.set(static_cast<double>(s.packets));
+    g.bytes.set(static_cast<double>(s.bytes));
+    g.drops.set(static_cast<double>(s.drops));
+    g.utilization.set(link.utilization(dir, now));
+  }
 
-  for (const auto& d : deployments_) {
-    for (std::size_t t = 0; t < d.checker->ir.tables.size(); ++t) {
+  obs_->table_gauges.resize(deployments_.size());
+  for (std::size_t di = 0; di < deployments_.size(); ++di) {
+    const Deployment& d = deployments_[di];
+    ObsState::TableGauges& tg = obs_->table_gauges[di];
+    if (tg.entries.empty() || tg.generation != d.generation) {
+      tg.generation = d.generation;
+      tg.entries.clear();
+      for (const auto& table : d.checker->ir.tables) {
+        tg.entries.push_back(reg.gauge(
+            "p4rt.table." + d.checker->name + "." + table.name + ".entries",
+            "hydra_table_entries",
+            {{"property", d.checker->name}, {"table", table.name}}));
+      }
+    }
+    for (std::size_t t = 0; t < tg.entries.size(); ++t) {
       std::size_t entries = 0;
       for (const auto& state : d.per_switch) {
         if (t < state.tables.size()) entries += state.tables[t].size();
       }
-      const std::string& tn = d.checker->ir.tables[t].name;
-      reg.gauge("p4rt.table." + d.checker->name + "." + tn + ".entries",
-                "hydra_table_entries",
-                {{"property", d.checker->name}, {"table", tn}})
-          .set(static_cast<double>(entries));
+      tg.entries[t].set(static_cast<double>(entries));
     }
   }
 }
@@ -2532,6 +2517,7 @@ void Network::reset_observability() {
   if (obs_->recorder != nullptr) obs_->recorder->clear();
   obs_->violations.clear();
   obs_->violations_seen = 0;
+  obs_->frozen_violations.reset();
   if (obs_->profiler != nullptr) obs_->profiler->clear();
   if (obs_->exporter != nullptr) {
     // The metrics just went back to zero; re-anchor the delta baseline so

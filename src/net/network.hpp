@@ -63,6 +63,7 @@
 #include "obs/forensics.hpp"
 #include "obs/health.hpp"
 #include "obs/httpd.hpp"
+#include "obs/live_tick.hpp"
 #include "obs/metrics.hpp"
 #include "obs/topk.hpp"
 #include "obs/profiler.hpp"
@@ -480,12 +481,13 @@ class Network {
   // rejects, and reports feed deterministic Space-Saving sketches on the
   // commit path, and every export tick re-evaluates the SLO verdict and
   // sets the `health.*` gauges. With a publisher attached
-  // (set_live_publisher), every tick additionally renders an immutable
-  // LiveSnapshot — Prometheus text, series/health/violations/topk JSON,
-  // and the obs state snapshot — and swaps it into the publisher for the
-  // HTTP plane; bodies for a given tick index are byte-identical across
-  // engines and worker counts. Must be called while the event queue is
-  // idle. Off means free: the commit path holds one null check.
+  // (set_live_publisher), every tick additionally freezes the tick's raw
+  // obs state (obs::RawTick) and publishes it for the HTTP plane, which
+  // renders each body — Prometheus text, series/health/violations/topk
+  // JSON, and the obs state snapshot — on its first request; bodies for a
+  // given tick index are byte-identical across engines and worker counts.
+  // Must be called while the event queue is idle. Off means free: the
+  // commit path holds one null check.
   struct LiveObsOptions {
     std::size_t topk_k = 8;
     // Subscriber (UE) block identifying PFCP sessions; mask 0 disables
@@ -647,6 +649,10 @@ class Network {
     std::unique_ptr<obs::FlightRecorder> recorder;
     std::vector<obs::ViolationReport> violations;
     std::uint64_t violations_seen = 0;  // includes ones past the report cap
+    // `violations` as last frozen: reports only append until a clear, so
+    // freeze_tick re-copies only when the count moved (clears reset it).
+    std::shared_ptr<const std::vector<obs::ViolationReport>>
+        frozen_violations;
     // Engine phase profiler (null unless set_engine_profiling(true)).
     std::unique_ptr<obs::EngineProfiler> profiler;
     // Streaming export (null unless set_export_interval armed). The
@@ -655,6 +661,17 @@ class Network {
     // releases.
     std::unique_ptr<obs::ExportScheduler> exporter;
     obs::Histogram delivered_latency;
+    // collect_metrics' per-link and per-table gauges, registered on first
+    // use so the per-tick refresh builds no metric names.
+    struct LinkGauges {
+      obs::Gauge packets, bytes, drops, utilization;
+    };
+    std::vector<LinkGauges> link_gauges;  // [2 * link + direction]
+    struct TableGauges {
+      std::uint32_t generation = 0;  // deployment occupant they belong to
+      std::vector<obs::Gauge> entries;  // by checker table
+    };
+    std::vector<TableGauges> table_gauges;  // by deployment slot
     // Live observability plane (null unless arm_live_obs). The publisher
     // is borrowed from the daemon/test that owns the HTTP server.
     struct LiveObs {
@@ -701,9 +718,12 @@ class Network {
   // present and monotone in every scrape — forever.
   void register_stale_counter(std::uint32_t gen);
   void note_property(const std::string& name);
-  // Shared v1 snapshot body (sim counters, registry, window ring, top-K);
-  // obs_snapshot wraps it in a v1 envelope, full_snapshot in v2.
-  void append_obs_body(std::string& out);
+  // Absorbs shard metrics and copies the raw obs state every obs body
+  // renders from (obs/live_tick.hpp): sim totals, registry values, the
+  // window ring by pointer, top-K sketches, health, violation reports.
+  // obs_snapshot renders its v1 body, full_snapshot embeds it in v2, and
+  // the live plane publishes it at each export tick.
+  obs::RawTick freeze_tick();
   // (Re)wires every hot-path obs handle to the registry of the shard that
   // executes it (detaches everything when observability is off).
   void rewire_observability();
@@ -745,7 +765,7 @@ class Network {
 
   // Per-export-tick live plane maintenance (live obs armed only):
   // re-evaluates health, refreshes the health.* gauges, and — with a
-  // publisher attached — renders and publishes the tick's LiveSnapshot.
+  // publisher attached — publishes the tick's RawTick (no rendering).
   // Runs on the commit path with workers quiesced and shard metrics
   // absorbed.
   void update_live_after_tick();

@@ -77,7 +77,8 @@ namespace {
 // Renders every registry family into its own text block, keyed by family
 // name; concatenating the (sorted) map values reproduces the classic
 // single-argument exposition byte for byte.
-std::map<std::string, std::string> registry_family_blocks(const Registry& reg) {
+std::map<std::string, std::string> registry_family_blocks(
+    const FrozenRegistry& reg) {
   struct Sample {
     std::string body;
     std::uint64_t counter = 0;
@@ -86,7 +87,7 @@ std::map<std::string, std::string> registry_family_blocks(const Registry& reg) {
   };
   // map => families come out sorted regardless of registration order.
   std::map<std::string, std::pair<MetricKind, std::vector<Sample>>> families;
-  reg.visit([&families](const Registry::MetricView& v) {
+  reg.visit([&families](const FrozenRegistry::MetricView& v) {
     const std::string fam =
         v.family.empty() ? prom_family_from_name(v.name, v.kind) : v.family;
     auto [it, fresh] =
@@ -145,10 +146,15 @@ std::map<std::string, std::string> registry_family_blocks(const Registry& reg) {
 }  // namespace
 
 std::string to_prometheus(const Registry& reg) {
-  return to_prometheus(reg, {});
+  return to_prometheus(reg.freeze(), {});
 }
 
 std::string to_prometheus(const Registry& reg,
+                          const std::vector<PromFamily>& extra) {
+  return to_prometheus(reg.freeze(), extra);
+}
+
+std::string to_prometheus(const FrozenRegistry& reg,
                           const std::vector<PromFamily>& extra) {
   std::map<std::string, std::string> blocks = registry_family_blocks(reg);
   for (const PromFamily& f : extra) {
@@ -237,7 +243,8 @@ std::vector<std::uint64_t> diff_buckets(const std::vector<std::uint64_t>& cur,
 }  // namespace
 
 void ExportScheduler::tick(const ExportCumulative& cum) {
-  WindowSample w;
+  auto sample = std::make_shared<WindowSample>();
+  WindowSample& w = *sample;
   w.index = captured_;
   w.t1 = next_tick();
   // The previous boundary, recomputed the same multiplicative way so
@@ -287,11 +294,11 @@ void ExportScheduler::tick(const ExportCumulative& cum) {
                                      w.delta.latency_buckets);
 
   prev_ = cum;
-  ring_.push_back(std::move(w));
+  ring_.push_back(std::move(sample));
   if (ring_.size() > ring_capacity_) ring_.pop_front();
   ++captured_;
   ++ticks_;
-  if (on_tick_) on_tick_(ring_.back());
+  if (on_tick_) on_tick_(*ring_.back());
 }
 
 void ExportScheduler::rebaseline(const ExportCumulative& cum) {
@@ -303,18 +310,26 @@ void ExportScheduler::rebaseline(const ExportCumulative& cum) {
 void ExportScheduler::restore_series(std::uint64_t captured,
                                      std::deque<WindowSample> windows) {
   while (windows.size() > ring_capacity_) windows.pop_front();
-  ring_ = std::move(windows);
+  ring_.clear();
+  for (WindowSample& w : windows) {
+    ring_.push_back(std::make_shared<const WindowSample>(std::move(w)));
+  }
   captured_ = captured;
 }
 
-std::string ExportScheduler::series_json() const {
+SeriesState ExportScheduler::freeze() const {
+  return SeriesState{interval_, ring_capacity_, captured_, ring_};
+}
+
+std::string SeriesState::to_json() const {
   std::string out = "{\n";
-  out += "  \"interval_s\": " + format_double(interval_) + ",\n";
-  out += "  \"ring_capacity\": " + std::to_string(ring_capacity_) + ",\n";
-  out += "  \"captured\": " + std::to_string(captured_) + ",\n";
+  out += "  \"interval_s\": " + format_double(interval_s) + ",\n";
+  out += "  \"ring_capacity\": " + std::to_string(ring_capacity) + ",\n";
+  out += "  \"captured\": " + std::to_string(captured) + ",\n";
   out += "  \"windows\": [";
   bool first = true;
-  for (const WindowSample& w : ring_) {
+  for (const auto& sample : windows) {
+    const WindowSample& w = *sample;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"index\": " + std::to_string(w.index) +

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,8 +72,11 @@ struct PromFamily {
 
 // to_prometheus with extra synthesized families interleaved in sorted
 // order with the registry-derived ones. Throws std::invalid_argument if an
-// extra family collides with a registry family name.
+// extra family collides with a registry family name. The Registry
+// overloads freeze the registry and render the copy.
 std::string to_prometheus(const Registry& reg,
+                          const std::vector<PromFamily>& extra);
+std::string to_prometheus(const FrozenRegistry& reg,
                           const std::vector<PromFamily>& extra);
 
 // Prometheus-style interpolated quantile over non-cumulative bucket counts
@@ -128,6 +132,22 @@ struct WindowSample {
   double latency_p99 = 0.0;
 };
 
+// The retained windows, oldest first. Captured windows are immutable and
+// shared: a published tick holds the ring by copying these pointers, never
+// the samples.
+using WindowRing = std::deque<std::shared_ptr<const WindowSample>>;
+
+// The series at one tick: what series_json renders.
+struct SeriesState {
+  double interval_s = 0.0;
+  std::size_t ring_capacity = 0;
+  std::uint64_t captured = 0;
+  WindowRing windows;
+  // Deterministic JSON: interval, capture count, and the retained windows
+  // (oldest first) with per-property attribution.
+  std::string to_json() const;
+};
+
 class ExportScheduler {
  public:
   // Invoked on the main thread immediately after a sample is captured;
@@ -149,7 +169,7 @@ class ExportScheduler {
   std::uint64_t captured() const { return captured_; }
   std::uint64_t ticks() const { return ticks_; }
   double first_tick() const { return first_tick_; }
-  const std::deque<WindowSample>& windows() const { return ring_; }
+  const WindowRing& windows() const { return ring_; }
   const std::vector<double>& latency_bounds() const { return latency_bounds_; }
 
   void set_on_tick(TickCallback cb) { on_tick_ = std::move(cb); }
@@ -189,9 +209,9 @@ class ExportScheduler {
   const ExportCumulative& baseline() const { return prev_; }
   void restore_baseline(ExportCumulative cum) { prev_ = std::move(cum); }
 
-  // Deterministic JSON: interval, capture count, and the retained windows
-  // (oldest first) with per-property attribution.
-  std::string series_json() const;
+  // Copies the ring's pointers and the counters series_json reads.
+  SeriesState freeze() const;
+  std::string series_json() const { return freeze().to_json(); }
 
  private:
   double interval_ = 0.0;
@@ -199,7 +219,7 @@ class ExportScheduler {
   std::uint64_t ticks_ = 0;  // boundaries fired, monotone across rebaselines
   std::vector<double> latency_bounds_;
   std::size_t ring_capacity_ = 0;
-  std::deque<WindowSample> ring_;
+  WindowRing ring_;
   std::uint64_t captured_ = 0;
   ExportCumulative prev_;
   TickCallback on_tick_;

@@ -34,7 +34,7 @@ void grade(const char* signal, double value, double degraded, double failing,
 
 }  // namespace
 
-HealthVerdict evaluate_health(const std::deque<WindowSample>& windows,
+HealthVerdict evaluate_health(const WindowRing& windows,
                               const std::vector<double>& latency_bounds,
                               const HealthThresholds& t) {
   HealthVerdict v;
@@ -50,7 +50,7 @@ HealthVerdict evaluate_health(const std::deque<WindowSample>& windows,
   std::uint64_t cold_suppressed = 0;
   std::vector<std::uint64_t> buckets;
   for (std::size_t i = windows.size() - span; i < windows.size(); ++i) {
-    const ExportCumulative& d = windows[i].delta;
+    const ExportCumulative& d = windows[i]->delta;
     injected += d.injected;
     rejected += d.rejected;
     fault_dropped += d.fault_dropped;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -57,7 +56,7 @@ struct HealthVerdict {
   std::string to_json() const;
 };
 
-HealthVerdict evaluate_health(const std::deque<WindowSample>& windows,
+HealthVerdict evaluate_health(const WindowRing& windows,
                               const std::vector<double>& latency_bounds,
                               const HealthThresholds& thresholds);
 

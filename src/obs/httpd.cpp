@@ -16,8 +16,17 @@
 
 namespace hydra::obs {
 
-void SnapshotPublisher::publish(LiveSnapshot snap) {
-  auto next = std::make_shared<const LiveSnapshot>(std::move(snap));
+const std::string& LiveSnapshot::body(LiveBody b) const {
+  const std::size_t i = index(b);
+  std::call_once(once_[i], [this, b, i] {
+    bodies_[i] = render(b, raw_);
+    done_[i].store(true, std::memory_order_release);
+  });
+  return bodies_[i];
+}
+
+void SnapshotPublisher::publish(RawTick raw) {
+  auto next = std::make_shared<const LiveSnapshot>(std::move(raw));
   {
     std::lock_guard<std::mutex> lock(mu_);
     current_ = next;
@@ -233,10 +242,9 @@ void HttpServer::handle_connection(int fd) {
                                "no snapshot published yet\n", 0, false));
     return;
   }
-  const std::string* body = nullptr;
+  LiveBody which = LiveBody::kMetrics;
   std::string content_type = "application/json";
   if (path == "/metrics") {
-    body = &snap->metrics_text;
     // The Prometheus text-format version identifier; scrapers key their
     // parser off this exact string.
     content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -244,29 +252,39 @@ void HttpServer::handle_connection(int fd) {
     // Always 200: the verdict lives in the body so orchestration probes
     // and CI can read a failing SLO without conflating it with a dead
     // endpoint.
-    body = &snap->health_json;
+    which = LiveBody::kHealth;
   } else if (path == "/series") {
-    body = &snap->series_json;
+    which = LiveBody::kSeries;
   } else if (path == "/violations") {
-    body = &snap->violations_json;
+    which = LiveBody::kViolations;
   } else if (path == "/topk") {
-    body = &snap->topk_json;
+    which = LiveBody::kTopK;
   } else if (path == "/snapshot") {
-    body = &snap->snapshot_text;
+    which = LiveBody::kSnapshot;
     content_type = "text/plain; charset=utf-8";
-  }
-  if (body == nullptr) {
+  } else {
     send_all(fd, make_response(404, "Not Found", "text/plain",
                                "unknown path\n", 0, false));
     return;
   }
+  // The first request for a body this tick renders it (see LiveSnapshot).
+  const std::string* body = nullptr;
+  try {
+    body = &snap->body(which);
+  } catch (const std::exception& e) {
+    send_all(fd, make_response(500, "Internal Server Error", "text/plain",
+                               std::string("render failed: ") + e.what() +
+                                   "\n",
+                               0, false));
+    return;
+  }
   send_all(fd,
-           make_response(200, "OK", content_type, *body, snap->tick_index,
+           make_response(200, "OK", content_type, *body, snap->tick_index(),
                          true));
 }
 
 bool http_get(std::uint16_t port, const std::string& path, std::string* body,
-              int* status) {
+              int* status, std::string* head) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
   set_io_timeouts(fd);
@@ -303,6 +321,7 @@ bool http_get(std::uint16_t port, const std::string& path, std::string* body,
   if (status != nullptr) {
     *status = std::atoi(resp.c_str() + sp + 1);
   }
+  if (head != nullptr) *head = resp.substr(0, head_end);
   if (body != nullptr) *body = resp.substr(head_end + 4);
   return true;
 }

@@ -3,12 +3,16 @@
 //
 // Determinism contract: the HTTP thread NEVER touches live simulator
 // state. At each committed export tick (engines quiesced, shard metrics
-// absorbed) the Network renders every servable body into an immutable
-// LiveSnapshot and swaps it into the SnapshotPublisher; scrapes serve
-// whichever snapshot was current when the request arrived, byte for byte.
-// Two runs that publish the same tick therefore serve identical bodies
-// regardless of engine kind, worker count, or scrape timing — the engine
-// differential test asserts this per tick index.
+// absorbed) the Network freezes the tick's raw state — registry values,
+// top-K sketches, health verdict, violation reports, and the window ring
+// by pointer — into a RawTick (obs/live_tick.hpp) and swaps it into the
+// SnapshotPublisher; no body is rendered on the commit path. The HTTP
+// thread renders a body the first time its route is requested for that
+// tick, with the same pure renderers every eager caller uses, and caches
+// it in the tick; scrapes serve whichever tick was current when the
+// request arrived. Two runs that publish the same tick therefore serve
+// identical bodies regardless of engine kind, worker count, or scrape
+// timing — the engine differential test asserts this per tick index.
 //
 // The publisher is a mutex-guarded shared_ptr swap plus a monotone atomic
 // epoch (the published tick count). Readers take a shared_ptr copy under
@@ -41,6 +45,7 @@
 // connection table.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -50,19 +55,49 @@
 #include <thread>
 #include <vector>
 
+#include "obs/live_tick.hpp"
+
 namespace hydra::obs {
 
-// Everything the HTTP plane can serve, rendered at one committed export
-// tick. Immutable after publication.
-struct LiveSnapshot {
-  std::uint64_t tick_index = 0;  // ExportScheduler::captured() at publish
-  double sim_time = 0.0;         // virtual time of the tick boundary
-  std::string metrics_text;      // Prometheus exposition (incl. topk)
-  std::string series_json;
-  std::string health_json;
-  std::string violations_json;
-  std::string topk_json;
-  std::string snapshot_text;     // Network::obs_snapshot() body
+// What the HTTP plane serves for one committed export tick: the raw tick,
+// plus each body rendered from it on first request and cached. Immutable
+// once published as far as any reader can tell: body() renders under a
+// per-body std::once_flag, so concurrent first requests render once and
+// every caller sees the same bytes.
+class LiveSnapshot {
+ public:
+  explicit LiveSnapshot(RawTick raw) : raw_(std::move(raw)) {}
+
+  std::uint64_t tick_index() const { return raw_.tick_index; }
+  double sim_time() const { return raw_.sim_time; }
+
+  // Renders `b` from the raw tick on the first call; any thread.
+  const std::string& body(LiveBody b) const;
+  // Whether `b` has been rendered for this tick (a tick nobody asks for
+  // renders nothing).
+  bool rendered(LiveBody b) const {
+    return done_[index(b)].load(std::memory_order_acquire);
+  }
+
+  const std::string& metrics_text() const { return body(LiveBody::kMetrics); }
+  const std::string& series_json() const { return body(LiveBody::kSeries); }
+  const std::string& health_json() const { return body(LiveBody::kHealth); }
+  const std::string& violations_json() const {
+    return body(LiveBody::kViolations);
+  }
+  const std::string& topk_json() const { return body(LiveBody::kTopK); }
+  // Network::obs_snapshot() body.
+  const std::string& snapshot_text() const {
+    return body(LiveBody::kSnapshot);
+  }
+
+ private:
+  static std::size_t index(LiveBody b) { return static_cast<std::size_t>(b); }
+
+  const RawTick raw_;
+  mutable std::array<std::once_flag, kLiveBodies> once_;
+  mutable std::array<std::string, kLiveBodies> bodies_;
+  mutable std::array<std::atomic<bool>, kLiveBodies> done_{};
 };
 
 class SnapshotPublisher {
@@ -71,8 +106,9 @@ class SnapshotPublisher {
   // after the swap.
   using PublishHook = std::function<void(const LiveSnapshot&)>;
 
-  // Main thread only.
-  void publish(LiveSnapshot snap);
+  // Main thread only. Wraps `raw` in a fresh LiveSnapshot; no body is
+  // rendered here.
+  void publish(RawTick raw);
 
   // Any thread. Null until the first publish.
   std::shared_ptr<const LiveSnapshot> acquire() const;
@@ -137,8 +173,9 @@ class HttpServer {
 
 // Minimal blocking HTTP GET against 127.0.0.1:`port` for tests and the
 // scrape bench: returns false on connect/protocol failure, else fills
-// `*body` (and `*status` when non-null) from the response.
+// `*body` (and `*status` / `*head`, the status line and headers, when
+// non-null) from the response.
 bool http_get(std::uint16_t port, const std::string& path, std::string* body,
-              int* status = nullptr);
+              int* status = nullptr, std::string* head = nullptr);
 
 }  // namespace hydra::obs

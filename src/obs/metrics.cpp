@@ -1,6 +1,10 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace hydra::obs {
@@ -8,14 +12,30 @@ namespace hydra::obs {
 namespace detail {
 
 // Shortest-roundtrip float formatting; %.17g would round-trip too but
-// litters exports with noise digits, so try increasing precision.
+// litters exports with noise digits, so take the smallest %g precision
+// (at least 6) that reads back as `v`. std::to_chars' shortest form has
+// the fewest digits any round-tripping decimal can have, so no precision
+// below its digit count can succeed and the search starts there; the
+// increment loop only runs on when %g's nearest-rounding at that precision
+// lands outside the (asymmetric) rounding interval, as it can next to a
+// power of two.
 std::string format_double(double v) {
+  int prec = 6;
+  if (std::isfinite(v)) {
+    char shortest[32];
+    const std::to_chars_result r =
+        std::to_chars(shortest, shortest + sizeof(shortest), v,
+                      std::chars_format::scientific);
+    int digits = 0;
+    for (const char* p = shortest; p < r.ptr && *p != 'e'; ++p) {
+      digits += *p >= '0' && *p <= '9' ? 1 : 0;
+    }
+    prec = std::max(prec, digits);
+  }
   char buf[64];
-  for (int prec = 6; prec <= 17; ++prec) {
+  for (; prec <= 17; ++prec) {
     std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == v) break;
+    if (std::strtod(buf, nullptr) == v) break;
   }
   return buf;
 }
@@ -62,6 +82,7 @@ const Registry::Meta& Registry::require(const std::string& name, Kind kind,
       histograms_.emplace_back();
       break;
   }
+  ids_.reset();
   return by_name_.emplace(name, m).first->second;
 }
 
@@ -175,31 +196,6 @@ void Registry::absorb_counters(Registry& src) {
   }
 }
 
-std::string Registry::snapshot_text() const {
-  std::string out;
-  for (const auto& [name, m] : by_name_) {
-    switch (m.kind) {
-      case Kind::kCounter:
-        out += "counter " + name + " " +
-               std::to_string(
-                   counters_[m.slot].load(std::memory_order_relaxed)) +
-               "\n";
-        break;
-      case Kind::kGauge:
-        break;  // recomputed after restart
-      case Kind::kHistogram: {
-        const HistogramData& h = histograms_[m.slot];
-        out += "hist " + name + " " + std::to_string(h.count) + " " +
-               format_double(h.sum) + " " + std::to_string(h.buckets.size());
-        for (std::uint64_t b : h.buckets) out += " " + std::to_string(b);
-        out += "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 void Registry::restore_counter(const std::string& name, std::uint64_t v) {
   counters_[require(name, Kind::kCounter).slot].fetch_add(
       v, std::memory_order_relaxed);
@@ -230,31 +226,101 @@ void Registry::reset() {
   }
 }
 
-std::string Registry::to_json() const {
+FrozenRegistry Registry::freeze() const {
+  if (ids_ == nullptr) {
+    auto ids = std::make_shared<std::vector<MetricId>>();
+    ids->reserve(by_name_.size());
+    for (const auto& [name, m] : by_name_) {
+      ids->push_back(MetricId{name, m.family, m.labels, m.kind, m.slot});
+    }
+    ids_ = std::move(ids);
+  }
+  FrozenRegistry f;
+  f.ids_ = ids_;
+  f.counters_.reserve(counters_.size());
+  for (const auto& c : counters_) {
+    f.counters_.push_back(c.load(std::memory_order_relaxed));
+  }
+  f.gauges_.assign(gauges_.begin(), gauges_.end());
+  f.histograms_.assign(histograms_.begin(), histograms_.end());
+  return f;
+}
+
+const std::vector<MetricId>& FrozenRegistry::ids() const {
+  static const std::vector<MetricId> kNone;
+  return ids_ != nullptr ? *ids_ : kNone;
+}
+
+void FrozenRegistry::visit(
+    const std::function<void(const MetricView&)>& fn) const {
+  for (const MetricId& id : ids()) {
+    MetricView v{id.name, id.family, id.labels, id.kind};
+    switch (id.kind) {
+      case MetricKind::kCounter:
+        v.counter_value = counters_[id.slot];
+        break;
+      case MetricKind::kGauge:
+        v.gauge_value = gauges_[id.slot];
+        break;
+      case MetricKind::kHistogram:
+        v.hist = &histograms_[id.slot];
+        break;
+    }
+    fn(v);
+  }
+}
+
+std::string FrozenRegistry::snapshot_text() const {
+  std::string out;
+  for (const MetricId& id : ids()) {
+    const std::string& name = id.name;
+    switch (id.kind) {
+      case MetricKind::kCounter:
+        out += "counter " + name + " " + std::to_string(counters_[id.slot]) +
+               "\n";
+        break;
+      case MetricKind::kGauge:
+        break;  // recomputed after restart
+      case MetricKind::kHistogram: {
+        const HistogramData& h = histograms_[id.slot];
+        out += "hist " + name + " " + std::to_string(h.count) + " " +
+               format_double(h.sum) + " " + std::to_string(h.buckets.size());
+        for (std::uint64_t b : h.buckets) out += " " + std::to_string(b);
+        out += "\n";
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::string FrozenRegistry::to_json() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, m] : by_name_) {
-    if (m.kind != Kind::kCounter) continue;
+  for (const MetricId& id : ids()) {
+    const std::string& name = id.name;
+    if (id.kind != MetricKind::kCounter) continue;
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + name + "\": " +
-           std::to_string(counters_[m.slot].load(std::memory_order_relaxed));
+    out += "    \"" + name + "\": " + std::to_string(counters_[id.slot]);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
   first = true;
-  for (const auto& [name, m] : by_name_) {
-    if (m.kind != Kind::kGauge) continue;
+  for (const MetricId& id : ids()) {
+    const std::string& name = id.name;
+    if (id.kind != MetricKind::kGauge) continue;
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + name + "\": " + format_double(gauges_[m.slot]);
+    out += "    \"" + name + "\": " + format_double(gauges_[id.slot]);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
-  for (const auto& [name, m] : by_name_) {
-    if (m.kind != Kind::kHistogram) continue;
-    const HistogramData& h = histograms_[m.slot];
+  for (const MetricId& id : ids()) {
+    const std::string& name = id.name;
+    if (id.kind != MetricKind::kHistogram) continue;
+    const HistogramData& h = histograms_[id.slot];
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + name + "\": {\"bounds\": [";
@@ -274,40 +340,21 @@ std::string Registry::to_json() const {
   return out;
 }
 
-void Registry::visit(const std::function<void(const MetricView&)>& fn) const {
-  for (const auto& [name, m] : by_name_) {
-    MetricView v{name, m.family, m.labels, m.kind};
-    switch (m.kind) {
-      case Kind::kCounter:
-        v.counter_value = counters_[m.slot].load(std::memory_order_relaxed);
-        break;
-      case Kind::kGauge:
-        v.gauge_value = gauges_[m.slot];
-        break;
-      case Kind::kHistogram:
-        v.hist = &histograms_[m.slot];
-        break;
-    }
-    fn(v);
-  }
-}
-
-std::string Registry::to_csv() const {
+std::string FrozenRegistry::to_csv() const {
   std::string out = "kind,name,field,value\n";
-  for (const auto& [name, m] : by_name_) {
-    switch (m.kind) {
-      case Kind::kCounter:
+  for (const MetricId& id : ids()) {
+    const std::string& name = id.name;
+    switch (id.kind) {
+      case MetricKind::kCounter:
         out += "counter," + name + ",value," +
-               std::to_string(
-                   counters_[m.slot].load(std::memory_order_relaxed)) +
+               std::to_string(counters_[id.slot]) + "\n";
+        break;
+      case MetricKind::kGauge:
+        out += "gauge," + name + ",value," + format_double(gauges_[id.slot]) +
                "\n";
         break;
-      case Kind::kGauge:
-        out += "gauge," + name + ",value," + format_double(gauges_[m.slot]) +
-               "\n";
-        break;
-      case Kind::kHistogram: {
-        const HistogramData& h = histograms_[m.slot];
+      case MetricKind::kHistogram: {
+        const HistogramData& h = histograms_[id.slot];
         out += "histogram," + name + ",count," + std::to_string(h.count) +
                "\n";
         out += "histogram," + name + ",sum," + format_double(h.sum) + "\n";

@@ -33,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,47 @@ class Histogram {
   HistogramData* data_ = nullptr;
 };
 
+// What a metric is, as opposed to what it reads: fixed at registration.
+struct MetricId {
+  std::string name;
+  std::string family;  // empty => exporters derive one from `name`
+  std::vector<Label> labels;
+  MetricKind kind = MetricKind::kCounter;
+  std::size_t slot = 0;  // index into the FrozenRegistry value array
+};
+
+// Value copy of a Registry at one instant. The identity list is shared
+// with the registry (and every other copy) until a new metric registers,
+// so freezing copies only the value slots. Immutable after freeze(): any
+// thread may render from it while the registry keeps counting.
+class FrozenRegistry {
+ public:
+  // Same view (and name order) as Registry::visit.
+  struct MetricView {
+    const std::string& name;
+    const std::string& family;
+    const std::vector<Label>& labels;
+    MetricKind kind;
+    std::uint64_t counter_value = 0;
+    double gauge_value = 0.0;
+    const HistogramData* hist = nullptr;  // non-null iff kind == kHistogram
+  };
+  void visit(const std::function<void(const MetricView&)>& fn) const;
+
+  // The Registry exports of the same names, rendered from the copy.
+  std::string to_json() const;
+  std::string to_csv() const;
+  std::string snapshot_text() const;
+
+ private:
+  friend class Registry;
+  const std::vector<MetricId>& ids() const;  // empty when default-built
+  std::shared_ptr<const std::vector<MetricId>> ids_;  // name order
+  std::vector<std::uint64_t> counters_;               // by slot
+  std::vector<double> gauges_;
+  std::vector<HistogramData> histograms_;
+};
+
 class Registry {
  public:
   // Registering an existing name returns a handle to the existing slot;
@@ -152,7 +194,7 @@ class Registry {
   // sorted: `counter <name> <value>` / `hist <name> <count> <sum> <n>
   // <bucket>...`. Gauges are derived levels and are recomputed after a
   // restart, so they are not persisted.
-  std::string snapshot_text() const;
+  std::string snapshot_text() const { return freeze().snapshot_text(); }
   // Adds `v` into `name`'s slot, registering a plain counter if absent
   // (Prometheus identity attaches when the owning component re-registers
   // it). Additive, so restoring on top of freshly re-registered metrics
@@ -173,25 +215,23 @@ class Registry {
   // a shard gauge is a local high-water mark, not a summable level.
   void absorb_counters(Registry& src);
 
+  // Copies every value slot (O(metrics), no formatting); every export
+  // below is freeze() followed by a render of the copy.
+  FrozenRegistry freeze() const;
+
   // Deterministic exports: names sorted, stable float formatting.
   // JSON: {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-  std::string to_json() const;
+  std::string to_json() const { return freeze().to_json(); }
   // CSV: kind,name,field,value — histograms expand to one row per bucket.
-  std::string to_csv() const;
+  std::string to_csv() const { return freeze().to_csv(); }
 
   // Read-only walk over every metric in name order (so visitors inherit
   // the registry's deterministic iteration). `family` is empty for metrics
   // registered without Prometheus identity; exporters derive one.
-  struct MetricView {
-    const std::string& name;
-    const std::string& family;
-    const std::vector<Label>& labels;
-    MetricKind kind;
-    std::uint64_t counter_value = 0;
-    double gauge_value = 0.0;
-    const HistogramData* hist = nullptr;  // non-null iff kind == kHistogram
-  };
-  void visit(const std::function<void(const MetricView&)>& fn) const;
+  using MetricView = FrozenRegistry::MetricView;
+  void visit(const std::function<void(const MetricView&)>& fn) const {
+    freeze().visit(fn);
+  }
 
  private:
   using Kind = MetricKind;
@@ -208,6 +248,8 @@ class Registry {
                       const std::vector<Label>* labels = nullptr);
 
   std::map<std::string, Meta> by_name_;  // ordered => deterministic export
+  // by_name_ in order, as freeze() shares it; rebuilt after a registration.
+  mutable std::shared_ptr<const std::vector<MetricId>> ids_;
   // deque: slots never relocate, so handles (and atomicity) survive growth.
   std::deque<std::atomic<std::uint64_t>> counters_;
   std::deque<double> gauges_;

@@ -1,6 +1,7 @@
 #include "obs/topk.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <sstream>
@@ -138,8 +139,7 @@ void SpaceSaving::erase(const TopKKey& key) {
   slots_.pop_back();
 }
 
-std::vector<SpaceSaving::Entry> SpaceSaving::ranked() const {
-  std::vector<Entry> out = slots_;
+std::vector<SpaceSaving::Entry> SpaceSaving::rank(std::vector<Entry> out) {
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     if (a.count != b.count) return a.count > b.count;
     if (a.stamp != b.stamp) return a.stamp < b.stamp;
@@ -261,23 +261,35 @@ void TopKAttribution::on_report(const TopKFlow& flow, int deployment) {
   }
 }
 
-std::string TopKAttribution::property_label(const TopKKey& key) const {
-  const std::size_t dep = static_cast<std::size_t>(key.hi);
-  if (dep < properties_.size() && !properties_[dep].empty()) {
-    return properties_[dep];
-  }
-  return "dep" + std::to_string(dep);
-}
-
 namespace {
 
 enum class Domain { kFlow, kSession, kProperty };
 
-struct SketchRef {
-  const char* tag;        // snapshot + family suffix
+// The exported sketches, in TopKState::sketches order: snapshot tag (also
+// the Prometheus family suffix) and key domain.
+struct SketchKind {
+  const char* tag;
   Domain domain;
-  const SpaceSaving* sk;
 };
+constexpr SketchKind kSketchKinds[kTopKSketches] = {
+    {"flow_packets", Domain::kFlow},
+    {"flow_rejects", Domain::kFlow},
+    {"flow_reports", Domain::kFlow},
+    {"session_packets", Domain::kSession},
+    {"session_rejects", Domain::kSession},
+    {"session_reports", Domain::kSession},
+    {"property_rejects", Domain::kProperty},
+    {"property_reports", Domain::kProperty},
+};
+
+std::string property_label(const std::vector<std::string>& properties,
+                           const TopKKey& key) {
+  const std::size_t dep = static_cast<std::size_t>(key.hi);
+  if (dep < properties.size() && !properties[dep].empty()) {
+    return properties[dep];
+  }
+  return "dep" + std::to_string(dep);
+}
 
 std::string flow_label_body(const TopKFlow& f) {
   if (!f.parsed) return "flow=\"unparsed\"";
@@ -290,23 +302,36 @@ std::string flow_label_body(const TopKFlow& f) {
 
 }  // namespace
 
-void TopKAttribution::prom_families(std::vector<PromFamily>& out) const {
-  const SketchRef refs[] = {
-      {"flow_packets", Domain::kFlow, &flow_packets_},
-      {"flow_rejects", Domain::kFlow, &flow_rejects_},
-      {"flow_reports", Domain::kFlow, &flow_reports_},
-      {"session_packets", Domain::kSession, &session_packets_},
-      {"session_rejects", Domain::kSession, &session_rejects_},
-      {"session_reports", Domain::kSession, &session_reports_},
-      {"property_rejects", Domain::kProperty, &property_rejects_},
-      {"property_reports", Domain::kProperty, &property_reports_},
-  };
-  for (const SketchRef& r : refs) {
-    if (r.sk->size() == 0) continue;  // no TYPE line for an empty sketch
+const std::array<SpaceSaving TopKAttribution::*, kTopKSketches>
+    TopKAttribution::kSketches = {
+        &TopKAttribution::flow_packets_,    &TopKAttribution::flow_rejects_,
+        &TopKAttribution::flow_reports_,    &TopKAttribution::session_packets_,
+        &TopKAttribution::session_rejects_, &TopKAttribution::session_reports_,
+        &TopKAttribution::property_rejects_,
+        &TopKAttribution::property_reports_,
+};
+
+TopKState TopKAttribution::freeze() const {
+  TopKState st;
+  st.k = cfg_.k;
+  st.properties = properties_;
+  for (std::size_t i = 0; i < kTopKSketches; ++i) {
+    const SpaceSaving& sk = this->*kSketches[i];
+    st.sketches[i].total = sk.total();
+    st.sketches[i].entries = sk.slots();
+  }
+  return st;
+}
+
+void TopKState::prom_families(std::vector<PromFamily>& out) const {
+  for (std::size_t i = 0; i < kTopKSketches; ++i) {
+    const SketchKind& r = kSketchKinds[i];
+    const Sketch& sk = sketches[i];
+    if (sk.entries.empty()) continue;  // no TYPE line for an empty sketch
     PromFamily f;
     f.name = std::string("hydra_topk_") + r.tag;
     f.kind = MetricKind::kGauge;  // entries are evictable, not monotone
-    for (const SpaceSaving::Entry& e : r.sk->ranked()) {
+    for (const SpaceSaving::Entry& e : SpaceSaving::rank(sk.entries)) {
       PromFamily::Sample s;
       switch (r.domain) {
         case Domain::kFlow:
@@ -318,7 +343,8 @@ void TopKAttribution::prom_families(std::vector<PromFamily>& out) const {
               "\"";
           break;
         case Domain::kProperty:
-          s.label_body = "property=\"" + prom_escape(property_label(e.key)) +
+          s.label_body = "property=\"" +
+                         prom_escape(property_label(properties, e.key)) +
                          "\"";
           break;
       }
@@ -333,27 +359,19 @@ void TopKAttribution::prom_families(std::vector<PromFamily>& out) const {
             });
 }
 
-std::string TopKAttribution::to_json() const {
-  const SketchRef refs[] = {
-      {"flow_packets", Domain::kFlow, &flow_packets_},
-      {"flow_rejects", Domain::kFlow, &flow_rejects_},
-      {"flow_reports", Domain::kFlow, &flow_reports_},
-      {"session_packets", Domain::kSession, &session_packets_},
-      {"session_rejects", Domain::kSession, &session_rejects_},
-      {"session_reports", Domain::kSession, &session_reports_},
-      {"property_rejects", Domain::kProperty, &property_rejects_},
-      {"property_reports", Domain::kProperty, &property_reports_},
-  };
-  std::string out = "{\n  \"k\": " + std::to_string(cfg_.k) + ",\n";
+std::string TopKState::to_json() const {
+  std::string out = "{\n  \"k\": " + std::to_string(k) + ",\n";
   bool first_sk = true;
-  for (const SketchRef& r : refs) {
+  for (std::size_t i = 0; i < kTopKSketches; ++i) {
+    const SketchKind& r = kSketchKinds[i];
+    const Sketch& sk = sketches[i];
     out += first_sk ? "" : ",\n";
     first_sk = false;
     out += "  \"" + std::string(r.tag) +
-           "\": {\"total\": " + std::to_string(r.sk->total()) +
+           "\": {\"total\": " + std::to_string(sk.total) +
            ", \"entries\": [";
     bool first_e = true;
-    for (const SpaceSaving::Entry& e : r.sk->ranked()) {
+    for (const SpaceSaving::Entry& e : SpaceSaving::rank(sk.entries)) {
       out += first_e ? "" : ", ";
       first_e = false;
       out += "{";
@@ -375,7 +393,8 @@ std::string TopKAttribution::to_json() const {
                  ip_str(static_cast<std::uint32_t>(e.key.hi)) + "\"";
           break;
         case Domain::kProperty:
-          out += "\"property\": \"" + property_label(e.key) + "\"";
+          out += "\"property\": \"" + property_label(properties, e.key) +
+                 "\"";
           break;
       }
       out += ", \"count\": " + std::to_string(e.count) +
@@ -387,30 +406,21 @@ std::string TopKAttribution::to_json() const {
   return out;
 }
 
-std::string TopKAttribution::snapshot_text() const {
-  const SketchRef refs[] = {
-      {"flow_packets", Domain::kFlow, &flow_packets_},
-      {"flow_rejects", Domain::kFlow, &flow_rejects_},
-      {"flow_reports", Domain::kFlow, &flow_reports_},
-      {"session_packets", Domain::kSession, &session_packets_},
-      {"session_rejects", Domain::kSession, &session_rejects_},
-      {"session_reports", Domain::kSession, &session_reports_},
-      {"property_rejects", Domain::kProperty, &property_rejects_},
-      {"property_reports", Domain::kProperty, &property_reports_},
-  };
+std::string TopKState::snapshot_text() const {
   std::string out;
-  for (const SketchRef& r : refs) {
-    out += "topk " + std::string(r.tag) + " " + std::to_string(r.sk->total()) +
-           "\n";
+  for (std::size_t i = 0; i < kTopKSketches; ++i) {
+    const char* tag = kSketchKinds[i].tag;
+    const Sketch& sk = sketches[i];
+    out += "topk " + std::string(tag) + " " + std::to_string(sk.total) + "\n";
     // Stamp order = insertion order; replaying in this order re-issues the
     // same relative stamps, so ranking tie-breaks survive the restart.
-    std::vector<SpaceSaving::Entry> entries = r.sk->slots();
+    std::vector<SpaceSaving::Entry> entries = sk.entries;
     std::sort(entries.begin(), entries.end(),
               [](const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
                 return a.stamp < b.stamp;
               });
     for (const SpaceSaving::Entry& e : entries) {
-      out += "tke " + std::string(r.tag) + " " + std::to_string(e.key.hi) +
+      out += "tke " + std::string(tag) + " " + std::to_string(e.key.hi) +
              " " + std::to_string(e.key.lo) + " " + std::to_string(e.count) +
              " " + std::to_string(e.error) + "\n";
     }
@@ -419,24 +429,14 @@ std::string TopKAttribution::snapshot_text() const {
 }
 
 bool TopKAttribution::restore_line(const std::string& line) {
-  SpaceSaving* const by_tag[] = {
-      &flow_packets_,    &flow_rejects_,    &flow_reports_,
-      &session_packets_, &session_rejects_, &session_reports_,
-      &property_rejects_, &property_reports_,
-  };
-  static const char* kTags[] = {
-      "flow_packets",    "flow_rejects",    "flow_reports",
-      "session_packets", "session_rejects", "session_reports",
-      "property_rejects", "property_reports",
-  };
   std::istringstream in(line);
   std::string kw, tag;
   in >> kw >> tag;
   if (kw != "topk" && kw != "tke") return false;
   SpaceSaving* sk = nullptr;
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (tag == kTags[i]) {
-      sk = by_tag[i];
+  for (std::size_t i = 0; i < kTopKSketches; ++i) {
+    if (tag == kSketchKinds[i].tag) {
+      sk = &(this->*kSketches[i]);
       break;
     }
   }

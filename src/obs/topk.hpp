@@ -27,6 +27,7 @@
 // as deterministic JSON.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,7 +69,8 @@ class SpaceSaving {
 
   // Entries ranked heaviest-first; ties broken by (stamp, key) so the
   // order is a pure function of the committed update sequence.
-  std::vector<Entry> ranked() const;
+  std::vector<Entry> ranked() const { return rank(slots_); }
+  static std::vector<Entry> rank(std::vector<Entry> entries);
 
   std::uint64_t total() const { return total_; }  // total weight observed
   std::size_t capacity() const { return slots_cap_; }
@@ -112,6 +114,33 @@ struct TopKFlow {
 TopKKey pack_flow(const TopKFlow& f);
 TopKFlow unpack_flow(const TopKKey& k);
 
+// The sketches TopKAttribution exports, in render order: flow, session and
+// property domains, each metered over packets, rejects and reports.
+constexpr std::size_t kTopKSketches = 8;
+
+// Every sketch's contents at one instant: a value copy (K entries each)
+// that renders the same bytes as the live attribution it was taken from,
+// on any thread.
+struct TopKState {
+  struct Sketch {
+    std::uint64_t total = 0;
+    std::vector<SpaceSaving::Entry> entries;  // slot order
+  };
+  std::size_t k = 0;
+  std::vector<std::string> properties;  // deployment id -> label
+  std::array<Sketch, kTopKSketches> sketches;
+
+  // Appends `hydra_topk_*` gauge families (samples in sorted label order,
+  // empty sketches omitted) for to_prometheus(reg, extra).
+  void prom_families(std::vector<PromFamily>& out) const;
+  // {"k": ..., "flow": {"packets": {...}, ...}, "session": ..., ...};
+  // entries heaviest-first with count/error.
+  std::string to_json() const;
+  // Lines "topk <tag> <total>" + "tke <tag> <hi> <lo> <count> <error>"
+  // (entries in stamp order).
+  std::string snapshot_text() const;
+};
+
 struct TopKConfig {
   std::size_t k = 8;
   // Subscriber (UE) address block: a flow endpoint inside it identifies
@@ -146,18 +175,19 @@ class TopKAttribution {
   const TopKConfig& config() const { return cfg_; }
 
   // ---- export -----------------------------------------------------------
-  // Appends `hydra_topk_*` gauge families (samples in sorted label order,
-  // empty sketches omitted) for to_prometheus(reg, extra).
-  void prom_families(std::vector<PromFamily>& out) const;
-  // {"k": ..., "flow": {"packets": {...}, ...}, "session": ..., ...};
-  // entries heaviest-first with count/error.
-  std::string to_json() const;
+  // Copies the sketch contents (O(K) per sketch, no formatting); the three
+  // exports below render that copy (see TopKState).
+  TopKState freeze() const;
+  void prom_families(std::vector<PromFamily>& out) const {
+    freeze().prom_families(out);
+  }
+  std::string to_json() const { return freeze().to_json(); }
 
   // ---- snapshot/restore -------------------------------------------------
-  // Lines "topk <tag> <total>" + "tke <tag> <hi> <lo> <count> <error>"
-  // (entries in stamp order). restore_line consumes both kinds; returns
-  // false for lines that are not topk state.
-  std::string snapshot_text() const;
+  // snapshot_text is TopKState::snapshot_text of freeze(). restore_line
+  // consumes both line kinds; returns false for lines that are not topk
+  // state.
+  std::string snapshot_text() const { return freeze().snapshot_text(); }
   bool restore_line(const std::string& line);
 
   // Test hooks.
@@ -168,7 +198,10 @@ class TopKAttribution {
 
  private:
   bool session_key(const TopKFlow& flow, TopKKey* out) const;
-  std::string property_label(const TopKKey& key) const;
+
+  // The sketch members in TopKState::sketches order.
+  static const std::array<SpaceSaving TopKAttribution::*, kTopKSketches>
+      kSketches;
 
   TopKConfig cfg_;
   std::vector<std::string> properties_;

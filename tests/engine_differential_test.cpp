@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -555,9 +557,9 @@ TEST(EngineDifferential, LiveScrapeBodiesByteIdenticalAcrossEngines) {
     std::string live_metrics;
     std::string live_series;
     pub.set_on_publish([&](const obs::LiveSnapshot& s) {
-      live_metrics += "tick " + std::to_string(s.tick_index) + "\n";
-      live_metrics += s.metrics_text;
-      live_series += s.series_json;
+      live_metrics += "tick " + std::to_string(s.tick_index()) + "\n";
+      live_metrics += s.metrics_text();
+      live_series += s.series_json();
       live_series += '\n';
     });
     net.set_live_publisher(&pub);
@@ -583,6 +585,98 @@ TEST(EngineDifferential, LiveScrapeBodiesByteIdenticalAcrossEngines) {
     Snapshot s = snapshot(net);
     s.live_metrics = std::move(live_metrics);
     s.live_series = std::move(live_series);
+    return s;
+  });
+}
+
+// Lazy rendering: each published tick carries raw state only, and every
+// body rendered from it — here after the run has moved on — must be the
+// body the eager renderers produce at that tick: obs_snapshot(),
+// window_series_json(), to_prometheus(registry, top-K families),
+// health_json(), violation_reports_json() and topk_json(). Nothing may be
+// rendered at publish time. The concatenated bodies are also compared
+// across engines.
+TEST(EngineDifferential, LiveRawTicksRenderTheEagerBodiesAtEveryTick) {
+  run_differential([](net::EngineKind kind, int workers) {
+    auto fabric = net::make_leaf_spine(2, 2, 2);
+    net::Network net(fabric.topo);
+    net.set_engine(kind, workers);
+    auto routing = fwd::install_leaf_spine_routing(net, fabric);
+    auto upf = std::make_shared<fwd::UpfProgram>(routing);
+    net.set_program(fabric.leaves[0], upf);
+    const int dep =
+        net.deploy(compile_library_checker("application_filtering"));
+    net.set_observability(true);
+    net.set_forensics(true);
+    net.set_export_interval(1e-4);
+    net::Network::LiveObsOptions opts;
+    opts.topk_k = 4;
+    opts.session_net = 0x50000000u;  // SessionChurnGenerator UE block
+    opts.session_mask = 0xFC000000u;
+    net.arm_live_obs(opts);
+
+    constexpr obs::LiveBody kBodies[] = {
+        obs::LiveBody::kSnapshot, obs::LiveBody::kSeries,
+        obs::LiveBody::kMetrics,  obs::LiveBody::kHealth,
+        obs::LiveBody::kViolations, obs::LiveBody::kTopK,
+    };
+    obs::SnapshotPublisher pub;
+    std::vector<std::shared_ptr<const obs::LiveSnapshot>> ticks;
+    std::vector<std::vector<std::string>> eager;  // kBodies order
+    pub.set_on_publish([&](const obs::LiveSnapshot& s) {
+      for (obs::LiveBody b : kBodies) {
+        EXPECT_FALSE(s.rendered(b)) << "tick " << s.tick_index();
+      }
+      std::vector<obs::PromFamily> topk_families;
+      net.topk_ptr()->prom_families(topk_families);
+      eager.push_back({net.obs_snapshot(), net.window_series_json(),
+                       obs::to_prometheus(net.metrics(), topk_families),
+                       net.health_json(), net.violation_reports_json(),
+                       net.topk_json()});
+      ticks.push_back(pub.acquire());
+    });
+    net.set_live_publisher(&pub);
+
+    aether::AetherController ctl(net, upf, dep);
+    ctl.define_slice(aether::example_camera_slice(1));
+    aether::SessionChurnGenerator::Config gc;
+    gc.sessions = 100;
+    gc.churn_per_s = 20000.0;
+    gc.packets_per_s = 200000.0;
+    gc.enb_host = fabric.hosts[0][0];
+    gc.enb_ip = net.topo().node(fabric.hosts[0][0]).ip;
+    gc.n3_ip = 0x0a0001fe;
+    gc.app_ip = net.topo().node(fabric.hosts[1][0]).ip;
+    gc.seed = 7;
+    aether::SessionChurnGenerator gen(net, ctl, gc);
+    gen.set_latency_sampling(false);
+    gen.prefill();
+    gen.start(0.0, 2e-3);
+    // Mid-run rule update (the Aether bug): later attaches install a
+    // higher-priority shared entry that silently drops older clients'
+    // traffic, so the forensics plane has violations to serve.
+    net.events().schedule_at(1e-3, [&ctl] {
+      aether::Slice updated = aether::example_camera_slice(1);
+      updated.rules[1].port_hi = 82;
+      updated.rules[1].priority = 30;
+      ctl.update_slice_rules(1, updated.rules);
+    });
+    net.events().run();
+
+    EXPECT_GT(ticks.size(), 5u);
+    EXPECT_EQ(ticks.size(), net.export_scheduler_ptr()->captured());
+    EXPECT_FALSE(net.violation_reports().empty());
+    Snapshot s = snapshot(net);
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+      EXPECT_EQ(ticks[i]->tick_index(), i + 1);
+      s.live_metrics += "tick " + std::to_string(i + 1) + "\n";
+      for (std::size_t b = 0; b < std::size(kBodies); ++b) {
+        const std::string& lazy = ticks[i]->body(kBodies[b]);
+        EXPECT_EQ(lazy, eager[i][b])
+            << "tick " << i + 1 << " body " << static_cast<int>(kBodies[b]);
+        s.live_metrics += lazy;
+      }
+    }
     return s;
   });
 }

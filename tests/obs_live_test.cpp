@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -246,6 +248,14 @@ obs::WindowSample window_with(std::uint64_t injected, std::uint64_t rejected,
   return w;
 }
 
+obs::WindowRing ring(std::initializer_list<obs::WindowSample> windows) {
+  obs::WindowRing out;
+  for (const obs::WindowSample& w : windows) {
+    out.push_back(std::make_shared<const obs::WindowSample>(w));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(Health, EmptyWindowsGradeOk) {
@@ -257,14 +267,14 @@ TEST(Health, EmptyWindowsGradeOk) {
 
 TEST(Health, RejectRateGradesDegradedThenFailing) {
   obs::HealthThresholds t;
-  std::deque<obs::WindowSample> w{window_with(1000, 20)};  // 2%
+  obs::WindowRing w = ring({window_with(1000, 20)});  // 2%
   auto v = obs::evaluate_health(w, {}, t);
   EXPECT_EQ(v.status, obs::HealthStatus::kDegraded);
   ASSERT_EQ(v.reasons.size(), 1u);
   EXPECT_NE(v.reasons[0].find("reject_rate"), std::string::npos);
   EXPECT_DOUBLE_EQ(v.reject_rate, 0.02);
 
-  w.front() = window_with(1000, 150);  // 15%
+  w = ring({window_with(1000, 150)});  // 15%
   v = obs::evaluate_health(w, {}, t);
   EXPECT_EQ(v.status, obs::HealthStatus::kFailing);
   EXPECT_NE(v.to_json().find("\"status\": \"failing\""), std::string::npos);
@@ -275,8 +285,8 @@ TEST(Health, RollingWindowLimitsEvaluatedSpan) {
   t.windows = 2;
   // Old window is terrible, recent two are clean: verdict must only see
   // the configured span.
-  std::deque<obs::WindowSample> w{window_with(100, 100), window_with(1000, 0),
-                                  window_with(1000, 0)};
+  const obs::WindowRing w = ring(
+      {window_with(100, 100), window_with(1000, 0), window_with(1000, 0)});
   const auto v = obs::evaluate_health(w, {}, t);
   EXPECT_EQ(v.status, obs::HealthStatus::kOk);
   EXPECT_EQ(v.windows_evaluated, 2u);
@@ -288,7 +298,7 @@ TEST(Health, LatencyThresholdDisabledByDefaultAndGradesWhenSet) {
   obs::WindowSample w;
   w.delta.injected = 10;
   w.delta.latency_buckets = {0, 100};
-  std::deque<obs::WindowSample> ws{w};
+  const obs::WindowRing ws = ring({w});
   const std::vector<double> bounds{1e-3};
 
   obs::HealthThresholds t;  // latency thresholds default-disabled
@@ -310,13 +320,13 @@ TEST(Health, ColdSuppressionBurnRate) {
   w.delta.reports = 1;
   w.delta.cold_suppressed = 9;  // 90% of would-be reports suppressed
   const auto v =
-      obs::evaluate_health({w}, {}, obs::HealthThresholds{});
+      obs::evaluate_health(ring({w}), {}, obs::HealthThresholds{});
   EXPECT_EQ(v.status, obs::HealthStatus::kFailing);
   EXPECT_DOUBLE_EQ(v.cold_suppression_rate, 0.9);
 }
 
 TEST(Health, FaultDropBurnRate) {
-  const auto v = obs::evaluate_health({window_with(1000, 0, 30)}, {},
+  const auto v = obs::evaluate_health(ring({window_with(1000, 0, 30)}), {},
                                       obs::HealthThresholds{});
   EXPECT_EQ(v.status, obs::HealthStatus::kDegraded);
   EXPECT_DOUBLE_EQ(v.fault_drop_rate, 0.03);
@@ -339,21 +349,50 @@ TEST(SnapshotPublisher, EpochAdvancesAndAcquireSeesLatest) {
 
   int hook_calls = 0;
   pub.set_on_publish([&](const obs::LiveSnapshot&) { ++hook_calls; });
-  obs::LiveSnapshot s;
-  s.tick_index = 1;
-  s.metrics_text = "a";
-  pub.publish(s);
-  s.tick_index = 2;
-  s.metrics_text = "b";
-  pub.publish(s);
+  obs::Registry reg;
+  obs::RawTick t;
+  t.tick_index = 1;
+  t.registry = reg.freeze();
+  pub.publish(t);
+  t.tick_index = 2;
+  reg.counter("b").inc();
+  t.registry = reg.freeze();
+  pub.publish(t);
 
   EXPECT_EQ(pub.epoch(), 2u);
   EXPECT_EQ(hook_calls, 2);
   auto cur = pub.acquire();
   ASSERT_NE(cur, nullptr);
-  EXPECT_EQ(cur->tick_index, 2u);
-  EXPECT_EQ(cur->metrics_text, "b");
+  EXPECT_EQ(cur->tick_index(), 2u);
+  EXPECT_EQ(cur->metrics_text(),
+            "# TYPE hydra_b_total counter\nhydra_b_total 1\n");
 }
+
+namespace {
+
+// A raw tick with one counter, an empty series, the default health
+// verdict, no violations, and a top-K attribution with one delivered flow.
+obs::RawTick sample_tick(std::uint64_t index) {
+  obs::Registry reg;
+  reg.counter("x").inc();
+  obs::TopKAttribution topk(obs::TopKConfig{}, {"fw"});
+  topk.on_delivered(obs::TopKFlow{true, 0x0a000001, 0x0a000002, 1, 2, 17});
+  obs::RawTick t;
+  t.tick_index = index;
+  t.sim.injected = 3;
+  t.registry = reg.freeze();
+  t.series = obs::SeriesState{1e-3, 4, 0, {}};
+  t.topk = topk.freeze();
+  return t;
+}
+
+const obs::LiveBody kAllBodies[] = {
+    obs::LiveBody::kMetrics,    obs::LiveBody::kSeries,
+    obs::LiveBody::kHealth,     obs::LiveBody::kViolations,
+    obs::LiveBody::kTopK,       obs::LiveBody::kSnapshot,
+};
+
+}  // namespace
 
 TEST(HttpServer, ServesPublishedSnapshotOnAllRoutes) {
   obs::SnapshotPublisher pub;
@@ -366,26 +405,26 @@ TEST(HttpServer, ServesPublishedSnapshotOnAllRoutes) {
   ASSERT_TRUE(obs::http_get(server.port(), "/metrics", &body, &status));
   EXPECT_EQ(status, 503);
 
-  obs::LiveSnapshot s;
-  s.tick_index = 7;
-  s.metrics_text = "# TYPE x counter\nx 1\n";
-  s.series_json = "{\"series\": []}";
-  s.health_json = "{\"status\": \"ok\"}";
-  s.violations_json = "[]";
-  s.topk_json = "{\"k\": 8}";
-  s.snapshot_text = "hydra-obs-snapshot v1\nend\n";
-  pub.publish(s);
+  const obs::RawTick t = sample_tick(7);
+  pub.publish(t);
 
   const std::vector<std::pair<std::string, std::string>> routes{
-      {"/metrics", s.metrics_text},   {"/healthz", s.health_json},
-      {"/series", s.series_json},     {"/violations", s.violations_json},
-      {"/topk", s.topk_json},         {"/snapshot", s.snapshot_text},
+      {"/metrics", obs::render_metrics(t)},
+      {"/healthz", obs::render_health(t)},
+      {"/series", obs::render_series(t)},
+      {"/violations", obs::render_violations(t)},
+      {"/topk", obs::render_topk(t)},
+      {"/snapshot", obs::render_snapshot(t)},
   };
   for (const auto& [path, want] : routes) {
     ASSERT_TRUE(obs::http_get(server.port(), path, &body, &status)) << path;
     EXPECT_EQ(status, 200) << path;
     EXPECT_EQ(body, want) << path;
   }
+  EXPECT_NE(obs::render_metrics(t).find("hydra_x_total 1\n"),
+            std::string::npos);
+  EXPECT_NE(obs::render_snapshot(t).find("sim injected 3\n"),
+            std::string::npos);
   // Query strings are ignored for routing.
   ASSERT_TRUE(obs::http_get(server.port(), "/metrics?x=1", &body, &status));
   EXPECT_EQ(status, 200);
@@ -450,6 +489,11 @@ struct LiveBed {
 
   // Mix of allowed traffic and a flow the firewall rejects.
   void run_traffic(int rounds) {
+    schedule_traffic(rounds);
+    net.events().run();
+  }
+
+  void schedule_traffic(int rounds) {
     const int h0 = fabric.hosts[0][0];
     const int h1 = fabric.hosts[0][1];  // not allowed -> rejects
     const int h2 = fabric.hosts[1][0];
@@ -464,7 +508,6 @@ struct LiveBed {
         }
       });
     }
-    net.events().run();
   }
 };
 
@@ -486,11 +529,11 @@ TEST(NetworkLiveObs, ArmRequiresExportAndPublishesEachTick) {
   EXPECT_EQ(pub.epoch(), ticks);
   auto snap = pub.acquire();
   ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->tick_index, ticks);
+  EXPECT_EQ(snap->tick_index(), ticks);
   // The published exposition carries health gauges and top-K families.
-  EXPECT_NE(snap->metrics_text.find("hydra_health_status"),
+  EXPECT_NE(snap->metrics_text().find("hydra_health_status"),
             std::string::npos);
-  EXPECT_NE(snap->metrics_text.find("hydra_topk_flow_packets"),
+  EXPECT_NE(snap->metrics_text().find("hydra_topk_flow_packets"),
             std::string::npos);
 
   const auto& health = bed.net.last_health();
@@ -552,4 +595,119 @@ TEST(NetworkLiveObs, RestoreRejectsMalformedSnapshots) {
                std::invalid_argument);
   // A valid empty snapshot is fine.
   bed.net.obs_restore("hydra-obs-snapshot v1\nend\n");
+}
+
+TEST(NetworkLiveObs, UnrequestedTicksRenderNothing) {
+  LiveBed bed;
+  obs::SnapshotPublisher pub;
+  std::vector<std::shared_ptr<const obs::LiveSnapshot>> published;
+  pub.set_on_publish(
+      [&](const obs::LiveSnapshot&) { published.push_back(pub.acquire()); });
+  bed.net.set_live_publisher(&pub);
+  obs::HttpServer server(pub, 0);
+  bed.run_traffic(20);
+  ASSERT_GT(published.size(), 2u);
+
+  // No scrape arrived: no tick rendered any body.
+  for (const auto& snap : published) {
+    for (obs::LiveBody b : kAllBodies) {
+      EXPECT_FALSE(snap->rendered(b)) << "tick " << snap->tick_index();
+    }
+  }
+  // One scrape renders exactly the body it asked for, for the current
+  // tick only.
+  std::string body;
+  int status = 0;
+  ASSERT_TRUE(obs::http_get(server.port(), "/metrics", &body, &status));
+  EXPECT_EQ(status, 200);
+  const auto& last = published.back();
+  EXPECT_TRUE(last->rendered(obs::LiveBody::kMetrics));
+  EXPECT_EQ(body, last->metrics_text());
+  for (obs::LiveBody b : kAllBodies) {
+    if (b != obs::LiveBody::kMetrics) {
+      EXPECT_FALSE(last->rendered(b));
+    }
+    EXPECT_FALSE(published.front()->rendered(b));
+  }
+  server.stop();
+}
+
+namespace {
+
+std::uint64_t tick_header(const std::string& head) {
+  const std::string key = "X-Hydra-Tick: ";
+  const std::size_t at = head.find(key);
+  return at == std::string::npos
+             ? 0
+             : std::stoull(head.substr(at + key.size()));
+}
+
+}  // namespace
+
+// A scraper thread requests every route in a loop while the simulator
+// runs (and publishes) on the main thread: the first request of a body
+// for a tick renders it on the HTTP thread, later ones reuse it, and two
+// responses for the same X-Hydra-Tick must carry the same bytes.
+TEST(NetworkLiveObs, ConcurrentScrapesOfOneTickAreByteIdentical) {
+  LiveBed bed;
+  obs::SnapshotPublisher pub;
+  bed.net.set_live_publisher(&pub);
+  obs::HttpServer server(pub, 0);
+  const std::vector<std::string> routes{"/metrics",    "/healthz", "/series",
+                                        "/violations", "/topk",
+                                        "/snapshot"};
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> loops{0};
+  std::map<std::pair<std::string, std::uint64_t>, std::string> seen;
+  std::size_t repeats = 0;
+  std::size_t mismatches = 0;
+  std::size_t failures = 0;
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const std::string& route : routes) {
+        std::string body;
+        std::string head;
+        int status = 0;
+        if (!obs::http_get(server.port(), route, &body, &status, &head)) {
+          ++failures;
+          continue;
+        }
+        if (status != 200) continue;  // 503 before the first publish
+        const auto [it, fresh] =
+            seen.try_emplace({route, tick_header(head)}, body);
+        if (!fresh) {
+          ++repeats;
+          if (it->second != body) ++mismatches;
+        }
+      }
+      loops.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  // Run in slices; after each, let the scraper complete three more
+  // passes — the one in flight may have started before the pause, the
+  // other two run wholly at the paused tick — so every route is requested
+  // at least twice there, while each slice itself races the scraper.
+  const auto wait_loops = [&loops](std::uint64_t n) {
+    const std::uint64_t target = loops.load(std::memory_order_acquire) + n;
+    while (loops.load(std::memory_order_acquire) < target) {
+      std::this_thread::yield();
+    }
+  };
+  bed.schedule_traffic(400);
+  for (int slice = 1; slice <= 8; ++slice) {
+    bed.net.events().run_until(slice * 1e-4);
+    wait_loops(3);
+  }
+  bed.net.events().run();
+  wait_loops(3);
+  stop.store(true, std::memory_order_release);
+  scraper.join();
+  server.stop();
+
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(repeats, 9 * routes.size());
+  EXPECT_GT(pub.epoch(), 8u);
 }

@@ -3,8 +3,11 @@
 // hop tracing through a leaf-spine fabric.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
 
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
@@ -357,6 +360,73 @@ TEST(NetworkObs, TraceRecordsRejectVerdictAndReportGainsFlowIdentity) {
 
 // ---- Prometheus exposition ------------------------------------------------
 
+// The original search format_double replaced: every %g precision from 6
+// up, first one that reads back wins. Kept as the byte-level oracle.
+std::string format_double_oracle(double v) {
+  char buf[64];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == v) break;
+  }
+  return buf;
+}
+
+TEST(FormatDouble, MatchesIncrementalSearchOnFuzzedDoubles) {
+  std::mt19937_64 rng(20261019);
+  std::size_t checked = 0;
+  const auto check = [&checked](double v) {
+    ASSERT_EQ(obs::detail::format_double(v), format_double_oracle(v))
+        << "bits " << std::hex << std::bit_cast<std::uint64_t>(v);
+    ++checked;
+  };
+  // Histogram bounds in use (delivered latency, hops, engine profiler) and
+  // the special values.
+  for (double v : {1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3,
+                   1e-2, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 25.0,
+                   250.0, 1024.0, 0.0, -0.0,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::denorm_min()}) {
+    check(v);
+  }
+  // Every power of two, and one ulp either side: where %g's nearest
+  // rounding can miss the asymmetric rounding interval.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (double v : {p, std::nextafter(p, 0.0),
+                     std::nextafter(p, std::numeric_limits<double>::max())}) {
+      check(v);
+      check(-v);
+    }
+  }
+  for (int i = 0; i < 100000; ++i) {
+    // Random bit patterns (NaN payloads and infinities included).
+    check(std::bit_cast<double>(rng()));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    // Subnormals: zero exponent, random mantissa.
+    check(std::bit_cast<double>(rng() & 0x800FFFFFFFFFFFFFULL));
+  }
+  for (int i = 0; i < 350000; ++i) {
+    // Integers, small and up past 2^53.
+    const int shift = static_cast<int>(rng() % 64);
+    check(static_cast<double>(static_cast<std::int64_t>(rng() >> shift)));
+  }
+  for (int i = 0; i < 250000; ++i) {
+    // Short decimals and rates, the values exports mostly carry.
+    const double mant = static_cast<double>(rng() % 1000000);
+    const int exp10 = static_cast<int>(rng() % 24) - 12;
+    check(mant * std::pow(10.0, exp10));
+    check(mant / 7.0);
+  }
+  EXPECT_GE(checked, 1000000u);
+}
+
 TEST(Prometheus, EscapesLabelValues) {
   EXPECT_EQ(obs::prom_escape("plain"), "plain");
   EXPECT_EQ(obs::prom_escape("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
@@ -492,7 +562,7 @@ TEST(ExportScheduler, WindowDeltasRatesRingAndRebaseline) {
   c1.properties.push_back({"fw", 1, 1, 5, 10});
   sched.tick(c1);
   ASSERT_EQ(sched.windows().size(), 1u);
-  const obs::WindowSample& w0 = sched.windows().front();
+  const obs::WindowSample& w0 = *sched.windows().front();
   EXPECT_DOUBLE_EQ(w0.t0, 0.0);
   EXPECT_DOUBLE_EQ(w0.t1, 1e-3);
   EXPECT_EQ(w0.delta.delivered, 5u);
@@ -506,16 +576,16 @@ TEST(ExportScheduler, WindowDeltasRatesRingAndRebaseline) {
   c2.delivered = 8;
   c2.properties[0].check_runs = 9;
   sched.tick(c2);
-  EXPECT_EQ(sched.windows().back().delta.delivered, 3u);
-  EXPECT_DOUBLE_EQ(sched.windows().back().pps, 3000.0);
-  EXPECT_EQ(sched.windows().back().delta.properties[0].check_runs, 4u);
+  EXPECT_EQ(sched.windows().back()->delta.delivered, 3u);
+  EXPECT_DOUBLE_EQ(sched.windows().back()->pps, 3000.0);
+  EXPECT_EQ(sched.windows().back()->delta.properties[0].check_runs, 4u);
 
   // Third capture evicts the oldest; indices stay monotone.
   sched.tick(c2);
   EXPECT_EQ(sched.captured(), 3u);
   ASSERT_EQ(sched.windows().size(), 2u);
-  EXPECT_EQ(sched.windows().front().index, 1u);
-  EXPECT_EQ(sched.windows().back().delta.delivered, 0u);
+  EXPECT_EQ(sched.windows().front()->index, 1u);
+  EXPECT_EQ(sched.windows().back()->delta.delivered, 0u);
   EXPECT_EQ(fires, 3);
 
   // Rebaseline drops windows and re-anchors deltas without rewinding the
@@ -526,7 +596,7 @@ TEST(ExportScheduler, WindowDeltasRatesRingAndRebaseline) {
   EXPECT_TRUE(sched.windows().empty());
   EXPECT_DOUBLE_EQ(sched.next_tick(), tick_before);
   sched.tick(c1);
-  EXPECT_EQ(sched.windows().back().delta.delivered, 5u);
+  EXPECT_EQ(sched.windows().back()->delta.delivered, 5u);
 }
 
 TEST(ExportScheduler, RingWrapsManyTimesOnLongRunsWithoutDrift) {
@@ -547,7 +617,7 @@ TEST(ExportScheduler, RingWrapsManyTimesOnLongRunsWithoutDrift) {
   ASSERT_EQ(sched.windows().size(), kRing);
   // The ring holds exactly the last kRing windows, contiguously indexed.
   for (std::size_t i = 0; i < kRing; ++i) {
-    const obs::WindowSample& w = sched.windows()[i];
+    const obs::WindowSample& w = *sched.windows()[i];
     EXPECT_EQ(w.index, kTicks - kRing + i);
     EXPECT_EQ(w.delta.injected, 3u);
     EXPECT_EQ(w.delta.delivered, 2u);
